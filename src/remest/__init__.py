@@ -39,7 +39,6 @@ from .simulator import (
     ConditionalStats,
     EpisodeTrace,
     MonteCarloEstimate,
-    StageOutcome,
     StationarityReport,
     estimate_conditional_stats,
     estimate_cost,
@@ -47,23 +46,10 @@ from .simulator import (
     stationarity_check,
 )
 from .strategies import (
-    EPSILON,
-    AffineCoder,
     NeverTransmitStrategy,
-    NoiseBlindStrategy,
-    ProtocolViolation,
     Strategy,
-    SwitchedThresholdStrategy,
     SystemParams,
     ThresholdAffineStrategy,
-    ThresholdPolicy,
-    always_transmit,
-    decode,
-    encode,
-    never_transmit,
-    noise_blind_decoder,
-    schedule,
-    side_channel,
 )
 
 __version__ = "0.1.0"

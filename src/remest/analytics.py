@@ -6,7 +6,6 @@ cross-check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +20,6 @@ __all__ = [
     "numeric_argmin",
     "SweepRow",
     "threshold_sweep",
-    "write_sweep_csv",
     "SWEEP_LAMBDAS",
     "SWEEP_SHAPES",
     "SWEEP_POWERS",
@@ -162,9 +160,8 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """Formula vs golden-section optimal threshold over a parameter grid.
 
-    Row order is the nested product lambda > k > P_T > c, matching the CSV
-    schema (lambda, k, P_T, c, beta_star_formula, beta_star_numeric,
-    J_at_beta_star).
+    Row order is the nested product lambda > k > P_T > c, the row order of
+    the ``sweep`` report.
     """
     rows = []
     for lam in lambdas:
@@ -186,28 +183,3 @@ def threshold_sweep(
                         )
                     )
     return rows
-
-
-SWEEP_CSV_HEADER = [
-    "lambda", "k", "P_T", "c",
-    "beta_star_formula", "beta_star_numeric", "J_at_beta_star",
-]
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], file) -> None:
-    """Write sweep rows; ``file`` is a path or a text file object."""
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                repr(r.lam), repr(r.k), repr(r.p_t), repr(r.c),
-                repr(r.beta_star_formula), repr(r.beta_star_numeric),
-                repr(r.j_at_beta_star),
-            ])
-
-    if hasattr(file, "write"):
-        _write(file)
-    else:
-        with open(file, "w", newline="") as fh:
-            _write(fh)

@@ -38,6 +38,8 @@ EMPIRICAL_RESIDUAL_TOL = 0.02
 UNMATCHED_ANALYTIC_MIN = 0.1
 UNMATCHED_EMPIRICAL_MIN = 0.05
 ARGMIN_AGREEMENT_TOL = 1e-6
+# each job is one worker thread; the cap keeps a config from asking for thousands
+MAX_JOBS = 64
 
 
 class ConfigError(ValueError):
@@ -167,6 +169,12 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("config field 'out' must be a string path")
 
+    if command in ("simulate", "optimize"):
+        cfg["horizon"] = _int_at_least(cfg, "horizon", 1)
+        cfg["episodes"] = _int_at_least(cfg, "episodes", 2)
+        cfg["jobs"] = _int_at_least(cfg, "jobs", 1)
+        if cfg["jobs"] > MAX_JOBS:
+            raise ConfigError(f"config field 'jobs' must be <= {MAX_JOBS}, got {cfg['jobs']}")
     if command == "simulate":
         if cfg["strategy"] not in _STRATEGY_NAMES:
             raise ConfigError(
@@ -181,13 +189,7 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
             cfg["beta"] = float(beta)
         elif cfg["strategy"] == "threshold":
             raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
-        cfg["horizon"] = _int_at_least(cfg, "horizon", 1)
-        cfg["episodes"] = _int_at_least(cfg, "episodes", 2)
-        cfg["jobs"] = _int_at_least(cfg, "jobs", 1)
     elif command == "optimize":
-        cfg["horizon"] = _int_at_least(cfg, "horizon", 1)
-        cfg["episodes"] = _int_at_least(cfg, "episodes", 2)
-        cfg["jobs"] = _int_at_least(cfg, "jobs", 1)
         for key in ("argmin_lo", "argmin_hi", "argmin_tol"):
             value = cfg[key]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -246,11 +248,11 @@ def _build_strategy(cfg: dict, p: SystemParams):
     if name == "threshold":
         return strategies.ThresholdAffineStrategy(p, cfg["beta"]), cfg["beta"]
     if name == "always":
-        return strategies.always_transmit(p), 0.0
+        return strategies.ThresholdAffineStrategy(p, 0.0), 0.0
     if name == "never":
-        return strategies.never_transmit(p), None
+        return strategies.NeverTransmitStrategy(p), None
     beta = cfg["beta"] if cfg["beta"] is not None else beta_star
-    return strategies.noise_blind_decoder(p, beta), beta
+    return strategies.ThresholdAffineStrategy(p, beta, matched=False), beta
 
 
 def _check(name: str, estimate: simulator.MonteCarloEstimate, target) -> dict:
@@ -550,6 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 0 when every check passed, 1 when a check failed or the run
+    itself raised, 2 on a config, usage or report-write error."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(
@@ -557,13 +561,17 @@ def main(argv=None) -> int:
             args.command,
             {"seed": args.seed, "out": args.out, "format": args.format},
         )
-        # the output path shapes where the report goes, not what was computed;
-        # leaving it out keeps report bytes identical across destinations
-        cfg_for_run = {k: v for k, v in cfg.items() if k != "out"}
-        report = _COMMANDS[args.command](cfg_for_run)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the output path shapes where the report goes, not what was computed;
+    # leaving it out keeps report bytes identical across destinations
+    cfg_for_run = {k: v for k, v in cfg.items() if k != "out"}
+    try:
+        report = _COMMANDS[args.command](cfg_for_run)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     out = cfg["out"] or f"remest_{args.command.replace('-', '_')}.{cfg['format']}"
     try:

@@ -8,9 +8,6 @@ empirical CFs built from samples, and reports per-point complex residuals.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,53 +84,24 @@ class CfResidualReport:
     def n_unreliable(self) -> int:
         return sum(not p.reliable for p in self.points)
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "omega": p.omega,
-                "lhs_re": p.lhs.real,
-                "lhs_im": p.lhs.imag,
-                "rhs_re": p.rhs.real,
-                "rhs_im": p.rhs.imag,
-                "residual": p.residual,
-            }
-            for p in self.points
-        ]
-
     def to_json_dict(self) -> dict:
         return {
             "max_residual": self.max_residual,
             "n_points": len(self.points),
             "n_unreliable": self.n_unreliable,
             "points": [
-                {**row, "reliable": p.reliable}
-                for row, p in zip(self.rows(), self.points)
+                {
+                    "omega": p.omega,
+                    "lhs_re": p.lhs.real,
+                    "lhs_im": p.lhs.imag,
+                    "rhs_re": p.rhs.real,
+                    "rhs_im": p.rhs.imag,
+                    "residual": p.residual,
+                    "reliable": p.reliable,
+                }
+                for p in self.points
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def write_csv(self, file) -> None:
-        """Write the per-point table; columns omega, lhs_re, lhs_im, rhs_re,
-        rhs_im, residual.  ``file`` is a path or a text file object."""
-        if hasattr(file, "write"):
-            self._write_csv(file)
-        else:
-            with open(file, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"])
-        for row in self.rows():
-            writer.writerow([repr(row[k]) for k in
-                             ("omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
 
 
 def _eval_cf(fn: Callable, omega: np.ndarray) -> np.ndarray:

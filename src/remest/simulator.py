@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import GammaDist, LaplaceDist, RngHandle, sample_gamma, sample_laplace
-from .strategies import EPSILON, Message, SideInfo, Strategy, SystemParams, payload_sign
+from .strategies import Strategy, SystemParams, payload_sign
 
 __all__ = [
-    "StageOutcome",
     "EpisodeTrace",
     "MonteCarloEstimate",
     "ConditionalStats",
@@ -27,21 +25,6 @@ __all__ = [
     "estimate_conditional_stats",
     "stationarity_check",
 ]
-
-
-@dataclass(frozen=True)
-class StageOutcome:
-    """Everything realized in one time step.  ``v`` is recorded even on
-    silent stages (it is drawn regardless, see :func:`run_episode`)."""
-
-    x: float
-    u: int
-    y: Message
-    v: float
-    y_tilde: Message
-    s: SideInfo
-    x_hat: float
-    stage_cost: float
 
 
 @dataclass(frozen=True)
@@ -77,28 +60,12 @@ class MonteCarloEstimate:
         return {"mean": self.mean, "std_error": self.std_error, "n": self.n}
 
 
-class _StageSequence(Sequence):
-    """Lazy view materializing :class:`StageOutcome` records on demand."""
-
-    def __init__(self, trace: "EpisodeTrace"):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return self._trace.horizon
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._trace.stage(j) for j in range(*i.indices(len(self)))]
-        return self._trace.stage(i)
-
-
 @dataclass(frozen=True, eq=False)
 class EpisodeTrace:
     """Columnar record of one episode.
 
     Payload columns (``y``, ``y_tilde``) hold NaN and the sign column holds 0
-    on silent stages; the :class:`StageOutcome` view converts those slots to
-    the no-transmission symbol.  ``total_cost`` is exactly
+    on silent stages.  ``total_cost`` is exactly
     c·(#transmissions) + sum of squared errors.
     """
 
@@ -118,26 +85,8 @@ class EpisodeTrace:
     def n_transmissions(self) -> int:
         return int(np.count_nonzero(self.u))
 
-    @property
-    def stages(self) -> _StageSequence:
-        return _StageSequence(self)
-
-    def stage(self, i: int) -> StageOutcome:
-        i = range(self.horizon)[i]  # normalizes negatives, raises IndexError
-        on = bool(self.u[i])
-        return StageOutcome(
-            x=float(self.x[i]),
-            u=int(self.u[i]),
-            y=float(self.y[i]) if on else EPSILON,
-            v=float(self.v[i]),
-            y_tilde=float(self.y_tilde[i]) if on else EPSILON,
-            s=int(self.s[i]) if on else EPSILON,
-            x_hat=float(self.x_hat[i]),
-            stage_cost=float(self.stage_cost[i]),
-        )
-
     def write_jsonl(self, file) -> None:
-        """One JSON object per stage; the no-transmission symbol maps to null."""
+        """One JSON object per stage; silent stages carry null ``y``, ``y_tilde`` and ``s``."""
         def _write(fh):
             for i in range(self.horizon):
                 on = bool(self.u[i])

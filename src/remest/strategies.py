@@ -1,37 +1,22 @@
-"""Decision policies for the sensor-to-estimator pipeline: a symmetric
-threshold transmit rule, the matched sign-aware affine encoder/decoder pair,
-and comparison baselines, all behind one pluggable interface.
+"""Decision policies for the sensor-to-estimator pipeline: one vectorized
+threshold-affine policy (symmetric threshold transmit rule, affine encoder,
+sign-aware decoder) and the distinguished never-transmit policy, behind one
+pluggable interface.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "SystemParams",
-    "EPSILON",
-    "Message",
-    "SideInfo",
-    "ProtocolViolation",
-    "ThresholdPolicy",
-    "AffineCoder",
-    "schedule",
-    "encode",
-    "side_channel",
-    "decode",
     "payload_sign",
     "Strategy",
     "ThresholdAffineStrategy",
     "NeverTransmitStrategy",
-    "NoiseBlindStrategy",
-    "SwitchedThresholdStrategy",
-    "always_transmit",
-    "never_transmit",
-    "noise_blind_decoder",
 ]
 
 
@@ -76,133 +61,9 @@ class SystemParams:
         return 1.0 / ((self.gamma + 1.0) * self.lam**2)
 
 
-class _NoTransmission:
-    """Singleton free symbol for "no message"; distinct from every real value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EPSILON"
-
-
-EPSILON = _NoTransmission()
-
-# Channel messages are either a real payload or the no-transmission symbol;
-# side info is a sign in {+1, -1} or the same symbol.  0.0 is a legitimate
-# payload (at beta = 0), so the symbol is a sentinel object, never a float.
-Message = Union[float, _NoTransmission]
-SideInfo = Union[int, _NoTransmission]
-
-
-class ProtocolViolation(ValueError):
-    """A policy was fed inputs that break the scheduler/coder contract."""
-
-
 def payload_sign(x):
     """Sign convention used on the side channel: sgn(0) := +1."""
     return np.where(np.asarray(x) >= 0.0, 1, -1)
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Transmit exactly when |x| strictly exceeds beta.
-
-    The boundary |x| = beta stays silent; beta = 0 therefore transmits
-    everything except x = 0 (a zero-probability event for the sources here).
-    """
-
-    beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-
-    def transmits(self, x):
-        return np.abs(x) > self.beta
-
-
-def schedule(policy: ThresholdPolicy, x: float) -> int:
-    """Stage decision: 1 to transmit, 0 to stay silent."""
-    return int(policy.transmits(x))
-
-
-def affine_encode(params: SystemParams, beta, x):
-    """Channel input alpha·(|x| - beta - 1/lam); elementwise."""
-    return params.alpha * (np.abs(x) - beta - 1.0 / params.lam)
-
-
-def affine_decode(params: SystemParams, beta, y_tilde, sign):
-    """Estimate sign·(shrink·y_tilde/alpha + shrink/lam + beta), shrink = gamma/(gamma+1)."""
-    shrink = params.gamma / (params.gamma + 1.0)
-    return sign * (shrink * y_tilde / params.alpha + shrink / params.lam + beta)
-
-
-@dataclass(frozen=True)
-class AffineCoder:
-    """Matched encoder/decoder pair for a threshold-scheduled Laplace source.
-
-    Conditioned on a transmission, |x| - beta is exponential with rate lam,
-    so the encoder output has conditional second moment exactly p_t; the
-    decoder applies the MSE-optimal gamma/(gamma+1) shrinkage plus the mean
-    and threshold shifts, then restores the sign from the side channel.
-    """
-
-    params: SystemParams
-    beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-
-    def encode_value(self, x):
-        return affine_encode(self.params, self.beta, x)
-
-    def decode_value(self, y_tilde, sign):
-        return affine_decode(self.params, self.beta, y_tilde, sign)
-
-
-def encode(coder: AffineCoder, x_tilde: Message) -> Message:
-    """Encode a scheduler output; the no-transmission symbol passes through."""
-    if x_tilde is EPSILON:
-        return EPSILON
-    if abs(x_tilde) <= coder.beta:
-        raise ProtocolViolation(
-            f"encoder received |x|={abs(x_tilde)!r} <= beta={coder.beta!r}; "
-            "the scheduler should have suppressed this message"
-        )
-    return float(coder.encode_value(x_tilde))
-
-
-def side_channel(x_tilde: Message) -> SideInfo:
-    """Noiseless sign of the scheduled message, or the no-transmission symbol."""
-    if x_tilde is EPSILON:
-        return EPSILON
-    return int(payload_sign(x_tilde))
-
-
-def decode(coder: AffineCoder, y_tilde: Message, s: SideInfo) -> float:
-    """Estimate the source value from the noisy channel output and the sign.
-
-    Both inputs must be real or both the no-transmission symbol; a silent
-    stage decodes to 0 (the conditional mean of a symmetric source inside
-    the threshold band).
-    """
-    y_silent = y_tilde is EPSILON
-    s_silent = s is EPSILON
-    if y_silent != s_silent:
-        raise ProtocolViolation(
-            f"mixed channel/side-channel inputs: y_tilde={y_tilde!r}, s={s!r}"
-        )
-    if y_silent:
-        return 0.0
-    if s not in (1, -1):
-        raise ProtocolViolation(f"side info must be +1 or -1, got {s!r}")
-    return float(coder.decode_value(y_tilde, s))
 
 
 class Strategy(abc.ABC):
@@ -233,27 +94,48 @@ class Strategy(abc.ABC):
 
 @dataclass(frozen=True)
 class ThresholdAffineStrategy(Strategy):
-    """Threshold scheduler with the matched affine coder at the same beta."""
+    """Transmit exactly when |x| strictly exceeds beta; encode
+    alpha·(|x| - beta - 1/lam); decode
+    sign·(shrink·y_tilde/alpha + shrink/lam + beta).
+
+    The boundary |x| = beta stays silent, so beta = 0 transmits everything
+    except x = 0 (a zero-probability event for the sources here).
+    Conditioned on a transmission, |x| - beta is exponential with rate lam,
+    so the encoder output has conditional second moment exactly p_t.
+
+    With ``matched`` the decoder applies the MSE-optimal shrink
+    gamma/(gamma+1); ``matched=False`` is the noise-blind baseline, whose
+    shrink of 1 inverts the encoder exactly and shows that the shrinkage is
+    load-bearing.  ``switch_stage`` doubles beta (in the scheduler and both
+    coder maps) after that stage: a deliberately nonstationary policy used to
+    exercise the per-stage cost homogeneity check.
+    """
 
     params: SystemParams
     beta: float
+    matched: bool = True
+    switch_stage: int | None = None
 
-    @property
-    def scheduler(self) -> ThresholdPolicy:
-        return ThresholdPolicy(self.beta)
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.beta) or self.beta < 0.0:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
 
-    @property
-    def coder(self) -> AffineCoder:
-        return AffineCoder(self.params, self.beta)
+    def _beta_at(self, t):
+        if self.switch_stage is None:
+            return self.beta
+        return np.where(np.asarray(t) <= self.switch_stage, self.beta, 2.0 * self.beta)
 
     def transmit(self, t, x):
-        return np.abs(x) > self.beta
+        return np.abs(x) > self._beta_at(t)
 
     def encode(self, t, x):
-        return affine_encode(self.params, self.beta, x)
+        p = self.params
+        return p.alpha * (np.abs(x) - self._beta_at(t) - 1.0 / p.lam)
 
     def decode(self, t, y_tilde, s):
-        return affine_decode(self.params, self.beta, y_tilde, s)
+        p = self.params
+        shrink = p.gamma / (p.gamma + 1.0) if self.matched else 1.0
+        return s * (shrink * y_tilde / p.alpha + shrink / p.lam + self._beta_at(t))
 
 
 @dataclass(frozen=True)
@@ -266,64 +148,7 @@ class NeverTransmitStrategy(Strategy):
         return np.zeros(np.shape(x), dtype=bool)
 
     def encode(self, t, x):
-        raise ProtocolViolation("never-transmit strategy cannot encode")
+        raise ValueError("never-transmit strategy cannot encode")
 
     def decode(self, t, y_tilde, s):
-        raise ProtocolViolation("never-transmit strategy cannot decode")
-
-
-@dataclass(frozen=True)
-class NoiseBlindStrategy(Strategy):
-    """Same scheduler and encoder, but the decoder inverts the encoder exactly:
-    x_hat = s·(y_tilde/alpha + beta + 1/lam), skipping the gamma/(gamma+1)
-    shrinkage.  Useful as a baseline showing the shrinkage is load-bearing.
-    """
-
-    params: SystemParams
-    beta: float
-
-    def transmit(self, t, x):
-        return np.abs(x) > self.beta
-
-    def encode(self, t, x):
-        return affine_encode(self.params, self.beta, x)
-
-    def decode(self, t, y_tilde, s):
-        p = self.params
-        return s * (y_tilde / p.alpha + self.beta + 1.0 / p.lam)
-
-
-@dataclass(frozen=True)
-class SwitchedThresholdStrategy(Strategy):
-    """Threshold doubles after ``switch_stage``: a deliberately nonstationary
-    policy used to exercise the per-stage cost homogeneity check.
-    """
-
-    params: SystemParams
-    beta: float
-    switch_stage: int
-
-    def _beta_at(self, t):
-        return np.where(np.asarray(t) <= self.switch_stage, self.beta, 2.0 * self.beta)
-
-    def transmit(self, t, x):
-        return np.abs(x) > self._beta_at(t)
-
-    def encode(self, t, x):
-        return affine_encode(self.params, self._beta_at(t), x)
-
-    def decode(self, t, y_tilde, s):
-        return affine_decode(self.params, self._beta_at(t), y_tilde, s)
-
-
-def always_transmit(params: SystemParams) -> ThresholdAffineStrategy:
-    """Threshold 0: every stage transmits (up to the null event x = 0)."""
-    return ThresholdAffineStrategy(params, 0.0)
-
-
-def never_transmit(params: SystemParams) -> NeverTransmitStrategy:
-    return NeverTransmitStrategy(params)
-
-
-def noise_blind_decoder(params: SystemParams, beta: float) -> NoiseBlindStrategy:
-    return NoiseBlindStrategy(params, beta)
+        raise ValueError("never-transmit strategy cannot decode")

@@ -32,12 +32,7 @@ from remest.simulator import (
     run_episode,
     stationarity_check,
 )
-from remest.strategies import (
-    SwitchedThresholdStrategy,
-    SystemParams,
-    ThresholdAffineStrategy,
-    noise_blind_decoder,
-)
+from remest.strategies import NeverTransmitStrategy, SystemParams, ThresholdAffineStrategy
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -171,7 +166,7 @@ def test_criterion_06_end_to_end_cost_consistency():
 def test_criterion_07_stationarity():
     optimal = ThresholdAffineStrategy(REF, BETA_STAR)
     good = stationarity_check(REF, optimal, 10, 10**5, RngHandle(20240, 4))
-    switched = SwitchedThresholdStrategy(REF, BETA_STAR, switch_stage=5)
+    switched = ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=5)
     bad = stationarity_check(REF, switched, 10, 10**5, RngHandle(20240, 4))
     passed = good.passed and not bad.passed
     _report(7, "stationarity", passed,
@@ -189,15 +184,13 @@ def test_criterion_08_conditional_unbiasedness():
 
 
 def test_criterion_09_baseline_identities():
-    from remest.strategies import never_transmit
-
-    never_trace = run_episode(REF, never_transmit(REF), 10**6, RngHandle(20240, 6))
+    never_trace = run_episode(REF, NeverTransmitStrategy(REF), 10**6, RngHandle(20240, 6))
     never_est = MonteCarloEstimate.from_samples(never_trace.stage_cost)
     never_ok = never_est.covers(2.0 / REF.lam**2, 4.0)
 
     always_exact = cost_closed_form(REF, 0.0).total == REF.c + REF.m
 
-    blind = noise_blind_decoder(REF, BETA_STAR)
+    blind = ThresholdAffineStrategy(REF, BETA_STAR, matched=False)
     blind_stats = estimate_conditional_stats(REF, blind, 10**6, RngHandle(20240, 7))
     blind_excess = blind_stats.mse_tx.mean - REF.m
     blind_ok = blind_excess > 4.0 * blind_stats.mse_tx.std_error

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -16,7 +14,6 @@ from remest.analytics import (
     numeric_argmin,
     optimal_threshold,
     threshold_sweep,
-    write_sweep_csv,
 )
 from remest.distributions import LaplaceDist, pdf
 from remest.strategies import SystemParams
@@ -168,21 +165,3 @@ class TestSweep:
     def test_rows_follow_nested_order(self):
         rows = threshold_sweep(lambdas=(1.0, 2.0), shapes=(1.0,), powers=(1.0,), costs=(0.5, 1.0))
         assert [(r.lam, r.c) for r in rows] == [(1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)]
-
-    def test_csv_export(self, tmp_path):
-        rows = threshold_sweep(lambdas=(1.0,), shapes=(2.0,), powers=(1.0,), costs=(1.0,))
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
-        parsed = list(csv.reader(path.open()))
-        assert parsed[0] == [
-            "lambda", "k", "P_T", "c",
-            "beta_star_formula", "beta_star_numeric", "J_at_beta_star",
-        ]
-        assert len(parsed) == 2
-        assert float(parsed[1][4]) == pytest.approx(BETA_STAR_REF, abs=1e-15)
-
-    def test_csv_to_buffer(self):
-        rows = threshold_sweep(lambdas=(1.0,), shapes=(2.0,), powers=(1.0,), costs=(1.0,))
-        buf = io.StringIO()
-        write_sweep_csv(rows, buf)
-        assert buf.getvalue().splitlines()[0].startswith("lambda,k,P_T,c")

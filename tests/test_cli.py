@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from remest.cli import main
+from remest.cli import MAX_JOBS, ConfigError, load_config, main
 
 REF_PARAMS = {"lambda": 1.0, "k": 2.0, "p_t": 1.0, "c": 1.0}
 
@@ -106,6 +106,22 @@ class TestValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
         assert "config" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_jobs_bounded(self, tmp_path, command):
+        cfg = write_config(tmp_path / "cfg.json", jobs=10**6)
+        with pytest.raises(ConfigError, match="jobs"):
+            load_config(str(cfg), command, {})
+        write_config(cfg, jobs=MAX_JOBS)
+        assert load_config(str(cfg), command, {})["jobs"] == MAX_JOBS
+
+    def test_runtime_error_exits_1(self, tmp_path, capsys):
+        # a valid config whose conditional statistics cannot be estimated
+        cfg = write_config(tmp_path / "cfg.json", strategy="threshold", beta=12,
+                           horizon=100, episodes=10, out=str(tmp_path / "r.json"))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "transmissions" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=5,
@@ -233,6 +249,15 @@ class TestVerifyMatching:
         labels = {r[0] for r in rows[1:]}
         assert labels == {"analytic", "empirical"}
         assert len(rows) == 1 + 2 * 11
+        # every residual cell round-trips to the float in the JSON report
+        out_json = tmp_path / "match.json"
+        assert main(["verify-matching", "--config", str(cfg), "--format", "json",
+                     "--out", str(out_json)]) == 0
+        report = json.loads(out_json.read_text())
+        points = report["analytic"]["points"] + report["empirical"]["points"]
+        for row, point in zip(rows[1:], points):
+            assert float(row[-1]) == point["residual"]
+            assert row[-1] == repr(point["residual"])
 
 
 class TestSweep:

@@ -1,7 +1,3 @@
-import csv
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -180,31 +176,6 @@ class TestCenteredCfs:
 
 
 class TestReportSerialization:
-    def test_csv_schema(self):
-        report = check_matching(matched_pair_spec(REF, omega_grid=(-1.0, 0.0, 1.0)))
-        text = report.to_csv()
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"]
-        assert len(rows) == 1 + 3
-        assert float(rows[1][0]) == -1.0
-
-    def test_csv_file_roundtrip(self, tmp_path):
-        report = check_matching(matched_pair_spec(REF, omega_grid=(-1.0, 1.0)))
-        path = tmp_path / "residuals.csv"
-        report.write_csv(path)
-        rows = list(csv.reader(path.open()))
-        assert len(rows) == 3
-        parsed = float(rows[1][5])
-        assert parsed == report.points[0].residual
-
-    def test_json_payload(self):
-        report = check_matching(matched_pair_spec(REF, omega_grid=(-2.0, 2.0)))
-        payload = json.loads(report.to_json())
-        assert payload["n_points"] == 2
-        assert payload["max_residual"] == report.max_residual
-        assert {"omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual", "reliable"} \
-            <= set(payload["points"][0])
-
     def test_default_grid_shape(self):
         assert len(DEFAULT_OMEGA_GRID) == 101
         assert DEFAULT_OMEGA_GRID[0] == -5.0

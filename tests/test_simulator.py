@@ -13,15 +13,7 @@ from remest.simulator import (
     run_episode,
     stationarity_check,
 )
-from remest.strategies import (
-    EPSILON,
-    SwitchedThresholdStrategy,
-    SystemParams,
-    ThresholdAffineStrategy,
-    always_transmit,
-    never_transmit,
-    noise_blind_decoder,
-)
+from remest.strategies import NeverTransmitStrategy, SystemParams, ThresholdAffineStrategy
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -64,37 +56,31 @@ class TestRunEpisode:
     def test_protocol_invariant(self):
         tr = run_episode(REF, OPTIMAL, 10_000, RngHandle(1))
         silent = ~tr.u
+        assert silent.any() and tr.u.any()
         assert np.isnan(tr.y[silent]).all()
         assert np.isnan(tr.y_tilde[silent]).all()
         assert (tr.s[silent] == 0).all()
+        assert (tr.x_hat[silent] == 0.0).all()
         assert np.isfinite(tr.y[tr.u]).all()
         assert np.isfinite(tr.y_tilde[tr.u]).all()
         assert np.isin(tr.s[tr.u], (-1, 1)).all()
         # channel additivity where transmitting
         np.testing.assert_allclose(tr.y_tilde[tr.u], tr.y[tr.u] + tr.v[tr.u], rtol=1e-15)
+        np.testing.assert_allclose(tr.stage_cost, REF.c * tr.u + (tr.x - tr.x_hat) ** 2,
+                                   rtol=1e-15)
 
-    def test_stage_view_maps_epsilon(self):
-        tr = run_episode(REF, OPTIMAL, 200, RngHandle(2))
-        saw_silent = saw_tx = False
-        for stage in tr.stages:
-            if stage.u == 0:
-                saw_silent = True
-                assert stage.y is EPSILON
-                assert stage.y_tilde is EPSILON
-                assert stage.s is EPSILON
-                assert stage.x_hat == 0.0
-            else:
-                saw_tx = True
-                assert stage.s in (1, -1)
-                assert stage.y_tilde == pytest.approx(stage.y + stage.v)
-            assert stage.stage_cost == pytest.approx(
-                REF.c * stage.u + (stage.x - stage.x_hat) ** 2
-            )
-        assert saw_silent and saw_tx
-        assert len(tr.stages) == 200
-        assert tr.stages[-1] == tr.stage(199)
-        with pytest.raises(IndexError):
-            tr.stage(200)
+    def test_policy_sees_only_transmitting_entries(self):
+        seen = []
+
+        class Recording(ThresholdAffineStrategy):
+            def encode(self, t, x):
+                seen.append(x)
+                return super().encode(t, x)
+
+        tr = run_episode(REF, Recording(REF, BETA_STAR), 2_000, RngHandle(2))
+        assert len(seen) == 1
+        assert seen[0].size == tr.n_transmissions
+        assert (np.abs(seen[0]) > BETA_STAR).all()
 
     def test_cost_decomposition(self):
         tr = run_episode(REF, OPTIMAL, 50_000, RngHandle(3))
@@ -104,14 +90,14 @@ class TestRunEpisode:
         assert tr.total_cost == pytest.approx(tr.stage_cost.sum(), rel=0.0)
 
     def test_never_transmit_episode(self):
-        tr = run_episode(REF, never_transmit(REF), 5, RngHandle(4))
+        tr = run_episode(REF, NeverTransmitStrategy(REF), 5, RngHandle(4))
         assert not tr.u.any()
         assert (tr.x_hat == 0.0).all()
         assert tr.total_cost == pytest.approx((tr.x**2).sum(), rel=1e-15)
         assert np.isfinite(tr.v).all()  # noise still drawn and recorded
 
     def test_always_transmit_fraction_is_one(self):
-        tr = run_episode(REF, always_transmit(REF), 1_000, RngHandle(5))
+        tr = run_episode(REF, ThresholdAffineStrategy(REF, 0.0), 1_000, RngHandle(5))
         assert tr.n_transmissions == 1_000
 
     def test_common_random_numbers_across_policies(self):
@@ -132,7 +118,7 @@ class TestEstimateCost:
         assert est.covers(cost_closed_form(REF, BETA_STAR).total, sigmas=4.0)
 
     def test_never_transmit_matches_second_moment(self):
-        est = estimate_cost(REF, never_transmit(REF), 10_000, 100, RngHandle(2025, 1))
+        est = estimate_cost(REF, NeverTransmitStrategy(REF), 10_000, 100, RngHandle(2025, 1))
         assert est.covers(2.0 / REF.lam**2, sigmas=4.0)
 
     def test_optimum_beats_neighbors_under_crn(self):
@@ -171,7 +157,7 @@ class TestConditionalStats:
         assert stats.n_transmissions >= 100
 
     def test_noise_blind_does_worse(self):
-        blind = noise_blind_decoder(REF, BETA_STAR)
+        blind = ThresholdAffineStrategy(REF, BETA_STAR, matched=False)
         stats = estimate_conditional_stats(REF, blind, 200_000, RngHandle(2025, 5))
         gap = stats.mse_tx.mean - REF.m
         assert gap > 4.0 * stats.mse_tx.std_error
@@ -204,7 +190,7 @@ class TestStationarity:
         assert report.max_pairwise_z == 0.0
 
     def test_nonstationary_counterexample_fails(self):
-        switched = SwitchedThresholdStrategy(REF, BETA_STAR, switch_stage=5)
+        switched = ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=5)
         report = stationarity_check(REF, switched, 10, 20_000, RngHandle(2025, 8))
         assert not report.passed
         assert report.max_pairwise_z > 4.0
@@ -226,14 +212,16 @@ class TestTraceExport:
         for i, line in enumerate(lines):
             record = json.loads(line)
             assert record["t"] == i + 1
-            stage = tr.stage(i)
-            assert record["x"] == stage.x
-            if stage.u == 0:
+            assert record["x"] == tr.x[i]
+            assert record["u"] == tr.u[i]
+            if not tr.u[i]:
                 assert record["y"] is None
+                assert record["y_tilde"] is None
                 assert record["s"] is None
             else:
-                assert record["y"] == stage.y
-                assert record["s"] == stage.s
+                assert record["y"] == tr.y[i]
+                assert record["y_tilde"] == tr.y_tilde[i]
+                assert record["s"] == tr.s[i]
 
     def test_jsonl_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

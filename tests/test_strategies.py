@@ -3,25 +3,18 @@ import pytest
 
 from remest.distributions import LaplaceDist, RngHandle, sample_laplace
 from remest.strategies import (
-    EPSILON,
-    AffineCoder,
     NeverTransmitStrategy,
-    NoiseBlindStrategy,
-    ProtocolViolation,
-    SwitchedThresholdStrategy,
     SystemParams,
     ThresholdAffineStrategy,
-    ThresholdPolicy,
-    always_transmit,
-    decode,
-    encode,
-    never_transmit,
-    noise_blind_decoder,
-    schedule,
-    side_channel,
+    payload_sign,
 )
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
+
+
+def _one(strat, x, t=1):
+    """Transmit decision for one stage."""
+    return bool(strat.transmit(np.array([t]), np.array([x]))[0])
 
 
 class TestSystemParams:
@@ -55,89 +48,62 @@ class TestSystemParams:
 
 class TestScheduler:
     def test_above_threshold_transmits(self):
-        assert schedule(ThresholdPolicy(1.0), 1.5) == 1
-        assert schedule(ThresholdPolicy(1.0), -1.5) == 1
+        strat = ThresholdAffineStrategy(REF, 1.0)
+        assert _one(strat, 1.5)
+        assert _one(strat, -1.5)
 
     def test_inside_band_is_silent(self):
-        assert schedule(ThresholdPolicy(1.0), -0.5) == 0
+        assert not _one(ThresholdAffineStrategy(REF, 1.0), -0.5)
 
     def test_boundary_is_silent(self):
-        assert schedule(ThresholdPolicy(1.0), 1.0) == 0
-        assert schedule(ThresholdPolicy(1.0), -1.0) == 0
+        strat = ThresholdAffineStrategy(REF, 1.0)
+        assert not _one(strat, 1.0)
+        assert not _one(strat, -1.0)
 
     def test_zero_threshold(self):
-        assert schedule(ThresholdPolicy(0.0), 0.0) == 0
-        assert schedule(ThresholdPolicy(0.0), 1e-12) == 1
+        strat = ThresholdAffineStrategy(REF, 0.0)
+        assert not _one(strat, 0.0)
+        assert _one(strat, 1e-12)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            ThresholdPolicy(-0.1)
+            ThresholdAffineStrategy(REF, -0.1)
 
 
 class TestEncoder:
     def test_example_values(self):
-        coder = AffineCoder(REF, beta=1.0)
-        assert encode(coder, 2.5) == pytest.approx(0.5, abs=1e-15)
-        assert encode(coder, -2.5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_epsilon_passthrough(self):
-        assert encode(AffineCoder(REF, 1.0), EPSILON) is EPSILON
-
-    def test_contract_violation_inside_band(self):
-        coder = AffineCoder(REF, beta=1.0)
-        with pytest.raises(ProtocolViolation):
-            encode(coder, 0.5)
-        with pytest.raises(ProtocolViolation):
-            encode(coder, 1.0)  # boundary belongs to the silent branch
+        strat = ThresholdAffineStrategy(REF, 1.0)
+        y = strat.encode(np.ones(2), np.array([2.5, -2.5]))
+        np.testing.assert_allclose(y, [0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 class TestSideChannel:
     def test_sign_values(self):
-        assert side_channel(-3.0) == -1
-        assert side_channel(2.0) == 1
-
-    def test_epsilon_passthrough(self):
-        assert side_channel(EPSILON) is EPSILON
+        np.testing.assert_array_equal(payload_sign(np.array([-3.0, 2.0])), [-1, 1])
 
     def test_zero_payload_convention(self):
-        assert side_channel(0.0) == 1
+        assert payload_sign(0.0) == 1
 
 
 class TestDecoder:
     def test_example_value(self):
         # gamma = 1/2 so the shrinkage factor is 1/3
-        coder = AffineCoder(REF, beta=1.0)
-        assert decode(coder, 0.9, 1) == pytest.approx(0.9 / 3.0 + 1.0 / 3.0 + 1.0, abs=1e-14)
-        assert decode(coder, 0.9, -1) == pytest.approx(-(0.9 / 3.0 + 1.0 / 3.0 + 1.0), abs=1e-14)
+        strat = ThresholdAffineStrategy(REF, 1.0)
+        x_hat = strat.decode(np.ones(2), np.array([0.9, 0.9]), np.array([1, -1]))
+        expected = 0.9 / 3.0 + 1.0 / 3.0 + 1.0
+        np.testing.assert_allclose(x_hat, [expected, -expected], rtol=0.0, atol=1e-14)
 
     def test_silent_stage_decodes_to_zero(self):
-        assert decode(AffineCoder(REF, 1.0), EPSILON, EPSILON) == 0.0
-
-    def test_mixed_inputs_rejected(self):
-        coder = AffineCoder(REF, 1.0)
-        with pytest.raises(ProtocolViolation):
-            decode(coder, 0.9, EPSILON)
-        with pytest.raises(ProtocolViolation):
-            decode(coder, EPSILON, 1)
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ProtocolViolation):
-            decode(AffineCoder(REF, 1.0), 0.9, 2)
+        assert ThresholdAffineStrategy(REF, 1.0).silent_estimate() == 0.0
+        assert NeverTransmitStrategy(REF).silent_estimate() == 0.0
 
     def test_odd_symmetry(self):
-        coder = AffineCoder(REF, beta=0.7)
-        for y in np.linspace(-8.0, 8.0, 33):
-            assert decode(coder, float(y), -1) == -decode(coder, float(y), 1)
-
-
-class TestEpsilonSymbol:
-    def test_singleton(self):
-        assert type(EPSILON)() is EPSILON
-
-    def test_distinguishable_from_zero(self):
-        assert EPSILON != 0.0
-        assert EPSILON != 0
-        assert not isinstance(EPSILON, float)
+        strat = ThresholdAffineStrategy(REF, 0.7)
+        y = np.linspace(-8.0, 8.0, 33)
+        t = np.ones_like(y)
+        pos = strat.decode(t, y, np.ones(y.shape, dtype=np.int8))
+        neg = strat.decode(t, y, -np.ones(y.shape, dtype=np.int8))
+        np.testing.assert_array_equal(neg, -pos)
 
 
 def _transmitting_draws(params, beta, n, seed):
@@ -153,7 +119,7 @@ class TestConditionalMoments:
         # conditioned on transmission, E[Y^2] equals the budget exactly
         beta = 1.2909944487358056
         x = _transmitting_draws(REF, beta, 4_000_000, seed=31)
-        y = AffineCoder(REF, beta).encode_value(x)
+        y = ThresholdAffineStrategy(REF, beta).encode(1, x)
         sq = y**2
         se = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - REF.p_t) < 4.0 * se
@@ -162,33 +128,29 @@ class TestConditionalMoments:
         p = SystemParams(lam=2.0, k=1.0, p_t=4.0, c=0.5)
         beta = 0.6
         x = _transmitting_draws(p, beta, 2_000_000, seed=32)
-        sq = AffineCoder(p, beta).encode_value(x) ** 2
+        sq = ThresholdAffineStrategy(p, beta).encode(1, x) ** 2
         se = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - p.p_t) < 4.0 * se
 
 
 class TestBaselines:
     def test_always_transmit_is_zero_threshold(self):
-        strat = always_transmit(REF)
-        assert isinstance(strat, ThresholdAffineStrategy)
-        assert strat.beta == 0.0
+        strat = ThresholdAffineStrategy(REF, 0.0)
         t = np.arange(1, 6)
         x = np.array([0.1, -0.2, 3.0, -4.0, 0.5])
         assert strat.transmit(t, x).all()
 
     def test_never_transmit_is_distinguished(self):
-        strat = never_transmit(REF)
-        assert isinstance(strat, NeverTransmitStrategy)
+        strat = NeverTransmitStrategy(REF)
         x = np.array([0.0, 100.0, -100.0])
         assert not strat.transmit(np.arange(3), x).any()
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ValueError):
             strat.encode(np.array([1]), np.array([5.0]))
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ValueError):
             strat.decode(np.array([1]), np.array([5.0]), np.array([1]))
 
     def test_noise_blind_inverts_encoder_exactly(self):
-        strat = noise_blind_decoder(REF, beta=1.0)
-        assert isinstance(strat, NoiseBlindStrategy)
+        strat = ThresholdAffineStrategy(REF, beta=1.0, matched=False)
         t = np.zeros(5)
         x = np.array([1.5, 2.5, -3.0, 7.0, -1.1])
         y = strat.encode(t, x)
@@ -196,16 +158,10 @@ class TestBaselines:
         recovered = strat.decode(t, y, s)  # noiseless channel
         np.testing.assert_allclose(recovered, x, rtol=1e-12)
 
-    def test_threshold_strategy_exposes_policy_triple(self):
-        strat = ThresholdAffineStrategy(REF, 0.8)
-        assert strat.scheduler == ThresholdPolicy(0.8)
-        assert strat.coder == AffineCoder(REF, 0.8)
-        assert strat.silent_estimate() == 0.0
-
 
 class TestSwitchedThreshold:
     def test_threshold_doubles_after_switch(self):
-        strat = SwitchedThresholdStrategy(REF, beta=1.0, switch_stage=5)
+        strat = ThresholdAffineStrategy(REF, beta=1.0, switch_stage=5)
         x = np.full(10, 1.5)
         t = np.arange(1, 11)
         u = strat.transmit(t, x)
@@ -213,8 +169,12 @@ class TestSwitchedThreshold:
         assert not u[5:].any()  # 1.5 <= 2.0
 
     def test_coder_follows_the_active_threshold(self):
-        strat = SwitchedThresholdStrategy(REF, beta=1.0, switch_stage=5)
+        strat = ThresholdAffineStrategy(REF, beta=1.0, switch_stage=5)
         early = strat.encode(np.array([1]), np.array([3.0]))[0]
         late = strat.encode(np.array([9]), np.array([3.0]))[0]
         assert early == pytest.approx(1.0)  # 3 - 1 - 1
         assert late == pytest.approx(0.0)  # 3 - 2 - 1
+        # decoded at the same stages, the shift is the active beta
+        shrink = REF.gamma / (REF.gamma + 1.0)
+        x_hat = strat.decode(np.array([1, 9]), np.array([0.0, 0.0]), np.array([1, 1]))
+        np.testing.assert_allclose(x_hat, [shrink / REF.lam + 1.0, shrink / REF.lam + 2.0])
