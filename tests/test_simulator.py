@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -68,6 +69,37 @@ class TestRunEpisode:
         np.testing.assert_allclose(tr.y_tilde[tr.u], tr.y[tr.u] + tr.v[tr.u], rtol=1e-15)
         np.testing.assert_allclose(tr.stage_cost, REF.c * tr.u + (tr.x - tr.x_hat) ** 2,
                                    rtol=1e-15)
+
+    def test_stage_view_maps_epsilon(self):
+        # Stage by stage, "no transmission" maps to NaN payloads and sign 0 in
+        # the columns and to null in the JSONL record of that stage.
+        tr = run_episode(REF, OPTIMAL, 200, RngHandle(2))
+        buf = io.StringIO()
+        tr.write_jsonl(buf)
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert len(records) == 200
+        for field in ("x", "u", "y", "v", "y_tilde", "s", "x_hat", "stage_cost"):
+            assert getattr(tr, field).shape == (200,), field
+        saw_silent = saw_tx = False
+        for i, record in enumerate(records):
+            if not tr.u[i]:
+                saw_silent = True
+                assert math.isnan(tr.y[i]) and math.isnan(tr.y_tilde[i])
+                assert tr.s[i] == 0
+                assert tr.x_hat[i] == 0.0
+                assert record["y"] is None
+                assert record["y_tilde"] is None
+                assert record["s"] is None
+            else:
+                saw_tx = True
+                assert tr.s[i] in (1, -1)
+                assert record["s"] == tr.s[i]
+                assert tr.y_tilde[i] == pytest.approx(tr.y[i] + tr.v[i])
+            assert tr.stage_cost[i] == pytest.approx(
+                REF.c * tr.u[i] + (tr.x[i] - tr.x_hat[i]) ** 2
+            )
+            assert record["stage_cost"] == tr.stage_cost[i]
+        assert saw_silent and saw_tx
 
     def test_policy_sees_only_transmitting_entries(self):
         seen = []
