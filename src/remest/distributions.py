@@ -96,13 +96,16 @@ class GammaDist:
 
 
 class RngHandle:
-    """Deterministic random stream keyed by (seed, stream id).
+    """Deterministic random stream keyed by (seed, stream id, path).
 
     Two handles constructed with the same key produce bitwise-identical
     sample sequences on any platform (numpy PCG64 seeded through
-    ``SeedSequence([seed, stream, *path])``).  A handle is single-owner:
-    drawing advances its state.  Use :meth:`substream` to derive
-    independent child streams for parallel work.
+    ``SeedSequence([seed, stream], spawn_key=path)``).  The path is a spawn
+    key, not more entropy: ``SeedSequence`` zero-pads short entropy, so
+    keying the path as entropy would give ``substream(0)`` the draws of its
+    parent and path ``(5,)`` the draws of ``(5, 0)``.  A handle is
+    single-owner: drawing advances its state.  Use :meth:`substream` to
+    derive independent child streams for parallel work.
     """
 
     def __init__(self, seed: int, stream: int = 0, _path: tuple[int, ...] = ()):
@@ -113,11 +116,11 @@ class RngHandle:
         self.seed = seed
         self.stream = stream
         self.path = tuple(int(i) for i in _path)
-        key = np.random.SeedSequence([self.seed, self.stream, *self.path])
+        key = np.random.SeedSequence([self.seed, self.stream], spawn_key=self.path)
         self.generator = np.random.Generator(np.random.PCG64(key))
 
     def substream(self, index: int) -> "RngHandle":
-        """Independent child stream; same (seed, stream, index) -> same draws."""
+        """Independent child stream; same (seed, stream, path, index) -> same draws."""
         return RngHandle(self.seed, self.stream, (*self.path, int(index)))
 
     def __repr__(self) -> str:
@@ -125,75 +128,27 @@ class RngHandle:
 
 
 def sample_laplace(d: LaplaceDist, rng: RngHandle, size: int | None = None):
-    """Draw from a Laplace distribution by inverse CDF on a single uniform.
+    """Laplace draws from numpy's ``Generator.laplace``.
 
-    Parameters
-    ----------
-    d : LaplaceDist
-    rng : RngHandle
-    size : int, optional
-        Number of draws.  ``None`` returns a scalar float; an integer
-        returns a 1-D array and consumes exactly ``size`` uniforms.
+    ``size=None`` returns a scalar float; an integer returns a 1-D array.
     """
-    n = 1 if size is None else int(size)
-    u = rng.generator.random(n)
-    # u == 0 would send log to -inf; clamp to the smallest positive float
-    u = np.maximum(u, np.finfo(np.float64).tiny)
-    out = d.location + np.where(
-        u < 0.5,
-        d.scale * np.log(2.0 * u),
-        -d.scale * np.log(2.0 * (1.0 - u)),
-    )
-    return float(out[0]) if size is None else out
+    return rng.generator.laplace(d.location, d.scale, size)
 
 
 def sample_exponential(d: ExponentialDist, rng: RngHandle, size: int | None = None):
-    """Draw from an exponential distribution by inverse CDF."""
-    n = 1 if size is None else int(size)
-    u = rng.generator.random(n)
-    out = -np.log1p(-u) / d.rate
-    return float(out[0]) if size is None else out
+    """Exponential draws from numpy's ``Generator.exponential`` (scale 1/rate).
+
+    ``size=None`` returns a scalar float; an integer returns a 1-D array.
+    """
+    return rng.generator.exponential(1.0 / d.rate, size)
 
 
 def sample_gamma(d: GammaDist, rng: RngHandle, size: int | None = None):
-    """Draw from a gamma distribution for any shape k > 0.
+    """Gamma draws from numpy's ``Generator.gamma``, valid for every shape k > 0.
 
-    Uses Marsaglia-Tsang squeeze rejection for k >= 1.  Shapes below 1 are
-    boosted: a Gamma(k+1) draw is scaled by U^(1/k).
-
-    Parameters
-    ----------
-    d : GammaDist
-    rng : RngHandle
-    size : int, optional
-        ``None`` returns a scalar float, an integer returns a 1-D array.
+    ``size=None`` returns a scalar float; an integer returns a 1-D array.
     """
-    n = 1 if size is None else int(size)
-    boosted = d.shape < 1.0
-    a = d.shape + 1.0 if boosted else d.shape
-    dd = a - 1.0 / 3.0
-    cc = 1.0 / np.sqrt(9.0 * dd)
-
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    gen = rng.generator
-    while filled < n:
-        need = n - filled
-        z = gen.standard_normal(need)
-        u = gen.random(need)
-        v = (1.0 + cc * z) ** 3
-        # v <= 0 (z below -1/c) is an automatic reject; log(nan/0) comparisons
-        # evaluate to False, which is exactly the reject branch
-        with np.errstate(invalid="ignore", divide="ignore"):
-            accept = (v > 0.0) & (np.log(u) < 0.5 * z * z + dd * (1.0 - v + np.log(v)))
-        n_acc = int(np.count_nonzero(accept))
-        out[filled : filled + n_acc] = dd * v[accept]
-        filled += n_acc
-
-    if boosted:
-        out *= gen.random(n) ** (1.0 / d.shape)
-    out *= d.scale
-    return float(out[0]) if size is None else out
+    return rng.generator.gamma(d.shape, d.scale, size)
 
 
 def pdf(dist, x):

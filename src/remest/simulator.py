@@ -2,13 +2,24 @@
 channel (+ noiseless sign side channel) -> decoder loop, plus Monte Carlo
 estimators with standard errors for every statistic the closed-form results
 predict.
+
+Every estimator runs on one kernel: the episodes x horizon stages are cut
+into blocks of at most ``CHUNK_STAGES`` stages (whole episode rows, or a
+column piece of one episode when the horizon is longer than a block), block
+i draws its source and noise from ``rng.substream(i)``, the policy is
+applied once per block, and each estimator folds the blocks, in block
+order, into its own small reducer.  Memory therefore stays bounded by the
+block size, and results do not depend on the number of worker threads.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +27,10 @@ from .distributions import GammaDist, LaplaceDist, RngHandle, sample_gamma, samp
 from .strategies import Strategy, SystemParams, payload_sign
 
 __all__ = [
+    "CHUNK_STAGES",
     "EpisodeTrace",
     "MonteCarloEstimate",
+    "Moments",
     "ConditionalStats",
     "StationarityReport",
     "run_episode",
@@ -25,6 +38,10 @@ __all__ = [
     "estimate_conditional_stats",
     "stationarity_check",
 ]
+
+# Stages per block: the kernel holds a few arrays of this length per worker.
+# Larger blocks buy little speed and raise the peak memory of short runs.
+CHUNK_STAGES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -37,14 +54,7 @@ class MonteCarloEstimate:
 
     @classmethod
     def from_samples(cls, samples) -> "MonteCarloEstimate":
-        arr = np.asarray(samples, dtype=np.float64).ravel()
-        if arr.size < 2:
-            raise ValueError(f"need at least 2 samples for a standard error, got {arr.size}")
-        return cls(
-            mean=float(arr.mean()),
-            std_error=float(arr.std(ddof=1) / np.sqrt(arr.size)),
-            n=int(arr.size),
-        )
+        return Moments.of(samples).estimate()
 
     def z_score(self, target: float) -> float:
         gap = self.mean - target
@@ -60,9 +70,56 @@ class MonteCarloEstimate:
         return {"mean": self.mean, "std_error": self.std_error, "n": self.n}
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and sum of squared deviations (M2) of a sample, merged
+    pairwise after Chan, Golub & LeVeque (1979).
+
+    ``mean`` and ``m2`` are scalars, or arrays for one sample per element
+    (e.g. per stage) that share the count ``n``.
+    """
+
+    n: int = 0
+    mean: float | np.ndarray = 0.0
+    m2: float | np.ndarray = 0.0
+
+    @classmethod
+    def of(cls, samples, axis: int | None = None) -> "Moments":
+        arr = np.asarray(samples, dtype=np.float64)
+        n = arr.size if axis is None else arr.shape[axis]
+        if n == 0:
+            return cls()
+        mean = arr.mean(axis=axis)
+        dev = arr - (mean if axis is None else np.expand_dims(mean, axis))
+        np.square(dev, out=dev)
+        return cls(n, mean, dev.sum(axis=axis))
+
+    def merge(self, other: "Moments") -> "Moments":
+        if other.n == 0:
+            return self
+        if self.n == 0:
+            return other
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return Moments(
+            n,
+            self.mean + delta * (other.n / n),
+            self.m2 + other.m2 + delta**2 * (self.n * other.n / n),
+        )
+
+    def estimate(self) -> MonteCarloEstimate:
+        if self.n < 2:
+            raise ValueError(f"need at least 2 samples for a standard error, got {self.n}")
+        return MonteCarloEstimate(
+            mean=float(self.mean),
+            std_error=float(np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)),
+            n=self.n,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class EpisodeTrace:
-    """Columnar record of one episode.
+    """Columnar record of one episode, an opt-in output for small horizons.
 
     Payload columns (``y``, ``y_tilde``) hold NaN and the sign column holds 0
     on silent stages.  ``total_cost`` is exactly
@@ -87,7 +144,7 @@ class EpisodeTrace:
 
     def write_jsonl(self, file) -> None:
         """One JSON object per stage; silent stages carry null ``y``, ``y_tilde`` and ``s``."""
-        def _write(fh):
+        with nullcontext(file) if hasattr(file, "write") else open(file, "w") as fh:
             for i in range(self.horizon):
                 on = bool(self.u[i])
                 fh.write(json.dumps({
@@ -103,162 +160,207 @@ class EpisodeTrace:
                 }, sort_keys=True))
                 fh.write("\n")
 
-        if hasattr(file, "write"):
-            _write(file)
-        else:
-            with open(file, "w") as fh:
-                _write(fh)
+
+class _Block(NamedTuple):
+    """Episodes ``r0:r1``, stages ``c0+1..c1`` of each, after the policy ran:
+    (rows, stages) arrays ``x``, ``v``, ``u`` and ``x_hat``, and the payload
+    ``y_on`` and sign ``s_on`` of the transmitting entries in row-major order."""
+
+    r0: int
+    r1: int
+    c0: int
+    c1: int
+    x: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    x_hat: np.ndarray
+    y_on: np.ndarray
+    s_on: np.ndarray
 
 
-def _simulate_block(p: SystemParams, strat: Strategy, t, x, v):
-    """Apply the strategy elementwise to pre-drawn source and noise arrays."""
-    u = np.asarray(strat.transmit(t, x), dtype=bool)
-    y = np.full(x.shape, np.nan)
-    y_tilde = np.full(x.shape, np.nan)
-    s = np.zeros(x.shape, dtype=np.int8)
-    x_hat = np.full(x.shape, float(strat.silent_estimate()))
-    if u.any():
-        t_on = np.broadcast_to(t, x.shape)[u]
-        x_on = x[u]
-        y_on = np.asarray(strat.encode(t_on, x_on), dtype=np.float64)
-        s_on = payload_sign(x_on).astype(np.int8)
-        noisy = y_on + v[u]
-        y[u] = y_on
-        y_tilde[u] = noisy
-        s[u] = s_on
-        x_hat[u] = strat.decode(t_on, noisy, s_on)
-    stage_cost = p.c * u + (x - x_hat) ** 2
-    return u, y, y_tilde, s, x_hat, stage_cost
+def _layout(horizon: int, n_episodes: int):
+    """(r0, r1, c0, c1) of each block, in block order."""
+    if horizon <= CHUNK_STAGES:
+        rows = CHUNK_STAGES // horizon
+        for r0 in range(0, n_episodes, rows):
+            yield r0, min(r0 + rows, n_episodes), 0, horizon
+    else:
+        for r in range(n_episodes):
+            for c0 in range(0, horizon, CHUNK_STAGES):
+                yield r, r + 1, c0, min(c0 + CHUNK_STAGES, horizon)
 
 
-def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) -> EpisodeTrace:
-    """Simulate ``horizon`` i.i.d. stages under one strategy.
+def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
+              rng: RngHandle, reduce, jobs: int = 1):
+    """Yield ``reduce(block)`` for every block, in block order.
 
-    Per stage: draw the source value, draw the channel noise, apply the
-    transmit rule, and on transmission send the encoded payload through the
-    additive channel alongside the sign on the side channel.  The noise draw
-    happens whether or not the stage transmits, so two strategies evaluated
-    under handles with the same key see identical source and noise paths
-    (common random numbers).
+    Block i draws the source and then the channel noise from
+    ``rng.substream(i)``; the noise is drawn whether or not a stage
+    transmits, so strategies run under identically keyed handles see the
+    same paths (common random numbers).  With ``jobs > 1`` blocks are
+    simulated and reduced on a thread pool, at most ``2·jobs`` ahead of the
+    consumer.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     source = LaplaceDist(0.0, 1.0 / p.lam)
     noise = GammaDist(p.k, p.theta)
-    x = sample_laplace(source, rng, size=horizon)
-    v = sample_gamma(noise, rng, size=horizon)
-    t = np.arange(1, horizon + 1)
-    u, y, y_tilde, s, x_hat, stage_cost = _simulate_block(p, strat, t, x, v)
-    return EpisodeTrace(
-        params=p,
-        horizon=horizon,
-        x=x,
-        u=u,
-        y=y,
-        v=v,
-        y_tilde=y_tilde,
-        s=s,
-        x_hat=x_hat,
-        stage_cost=stage_cost,
-        total_cost=float(stage_cost.sum()),
-    )
+
+    def work(i, r0, r1, c0, c1):
+        sub = rng.substream(i)
+        shape = (r1 - r0, c1 - c0)
+        x = sample_laplace(source, sub, size=shape[0] * shape[1]).reshape(shape)
+        v = sample_gamma(noise, sub, size=x.size).reshape(shape)
+        t = np.arange(c0 + 1, c1 + 1)
+        u = np.asarray(strat.transmit(t, x), dtype=bool)
+        x_hat = np.full(shape, float(strat.silent_estimate()))
+        y_on = np.empty(0)
+        s_on = np.empty(0, dtype=np.int8)
+        if u.any():
+            t_on = np.broadcast_to(t, shape)[u]
+            x_on = x[u]
+            y_on = np.asarray(strat.encode(t_on, x_on), dtype=np.float64)
+            s_on = payload_sign(x_on).astype(np.int8)
+            x_hat[u] = strat.decode(t_on, y_on + v[u], s_on)
+        return reduce(_Block(r0, r1, c0, c1, x, v, u, x_hat, y_on, s_on))
+
+    blocks = enumerate(_layout(horizon, int(n_episodes)))
+    if jobs == 1:
+        for i, bounds in blocks:
+            yield work(i, *bounds)
+        return
+    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
+        pending = deque()
+        for i, bounds in blocks:
+            pending.append(pool.submit(work, i, *bounds))
+            if len(pending) > 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def estimate_cost(
-    p: SystemParams,
-    strat: Strategy,
-    horizon: int,
-    n_episodes: int,
-    rng: RngHandle,
-    jobs: int = 1,
-) -> MonteCarloEstimate:
+def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
+    """c·u + (x - x_hat)², computed in (and overwriting) ``b.x_hat``."""
+    cost = np.subtract(b.x, b.x_hat, out=b.x_hat)
+    np.square(cost, out=cost)
+    return np.add(cost, p.c, out=cost, where=b.u)
+
+
+def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) -> EpisodeTrace:
+    """Simulate ``horizon`` i.i.d. stages under one strategy and keep every column.
+
+    Per stage: draw the source value, draw the channel noise, apply the
+    transmit rule, and on transmission send the encoded payload through the
+    additive channel alongside the sign on the side channel.  The episode
+    runs on the same blocks as the estimators, so it draws exactly what
+    ``estimate_conditional_stats`` draws from an identically keyed handle.
+    The trace holds about 50 bytes per stage; the estimators do not build it.
+    """
+    horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    x, v, x_hat, stage_cost = (np.empty(horizon) for _ in range(4))
+    y, y_tilde = np.full(horizon, np.nan), np.full(horizon, np.nan)
+    u = np.empty(horizon, dtype=bool)
+    s = np.zeros(horizon, dtype=np.int8)
+
+    def record(b: _Block) -> None:
+        cols = slice(b.c0, b.c1)
+        x[cols], v[cols], u[cols], x_hat[cols] = b.x[0], b.v[0], b.u[0], b.x_hat[0]
+        on = np.flatnonzero(b.u[0]) + b.c0
+        y[on] = b.y_on
+        y_tilde[on] = b.y_on + b.v[b.u]
+        s[on] = b.s_on
+        stage_cost[cols] = _stage_cost(p, b)[0]
+
+    for _ in _simulate(p, strat, horizon, 1, rng, record):
+        pass
+    return EpisodeTrace(p, horizon, x, u, y, v, y_tilde, s, x_hat, stage_cost,
+                        total_cost=float(stage_cost.sum()))
+
+
+def estimate_cost(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
+                  rng: RngHandle, jobs: int = 1) -> MonteCarloEstimate:
     """Mean per-stage cost across independent episodes.
 
-    Episode i always runs on ``rng.substream(i)`` and results are merged by
-    episode index, so serial and parallel execution produce identical
-    estimates, and repeated calls with an identically-keyed handle reuse
+    Block i always runs on ``rng.substream(i)`` and episode totals are
+    summed in block order, so any ``jobs`` gives identical estimates, and
+    repeated calls with an identically keyed handle and the same shape reuse
     identical draws (the common-random-numbers hook for strategy
-    comparisons).
+    comparisons).  Memory is O(block + episodes).
     """
     n_episodes = int(n_episodes)
     if n_episodes < 2:
         raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
+    totals = np.zeros(n_episodes)
 
-    def one(i: int) -> float:
-        trace = run_episode(p, strat, horizon, rng.substream(i))
-        return trace.total_cost / horizon
+    def row_sums(b: _Block):
+        return b.r0, b.r1, _stage_cost(p, b).sum(axis=1)
 
-    if jobs == 1:
-        averages = [one(i) for i in range(n_episodes)]
-    else:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            averages = list(pool.map(one, range(n_episodes)))
-    return MonteCarloEstimate.from_samples(averages)
+    for r0, r1, sums in _simulate(p, strat, horizon, n_episodes, rng, row_sums, jobs):
+        totals[r0:r1] += sums
+    return MonteCarloEstimate.from_samples(totals / int(horizon))
 
 
 @dataclass(frozen=True)
 class ConditionalStats:
-    """Monte Carlo estimates conditioned on transmission."""
+    """Monte Carlo estimates conditioned on transmission.
 
-    mse_tx: MonteCarloEstimate
-    mse_tx_pos: MonteCarloEstimate
-    mse_tx_neg: MonteCarloEstimate
-    power: MonteCarloEstimate
-    tx_frequency: MonteCarloEstimate
-    bias_tx: MonteCarloEstimate
+    A statistic that cannot be estimated is None, and ``problem`` says why.
+    """
+
+    mse_tx: MonteCarloEstimate | None
+    mse_tx_pos: MonteCarloEstimate | None
+    mse_tx_neg: MonteCarloEstimate | None
+    power: MonteCarloEstimate | None
+    tx_frequency: MonteCarloEstimate | None
+    bias_tx: MonteCarloEstimate | None
     n_transmissions: int
+    problem: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mse_tx": self.mse_tx.to_json_dict(),
-            "mse_tx_pos": self.mse_tx_pos.to_json_dict(),
-            "mse_tx_neg": self.mse_tx_neg.to_json_dict(),
-            "power": self.power.to_json_dict(),
-            "tx_frequency": self.tx_frequency.to_json_dict(),
-            "bias_tx": self.bias_tx.to_json_dict(),
-            "n_transmissions": self.n_transmissions,
-        }
+        # asdict turns each MonteCarloEstimate into its to_json_dict() form
+        return {k: v for k, v in asdict(self).items() if k != "problem"}
 
 
-def estimate_conditional_stats(
-    p: SystemParams,
-    strat: Strategy,
-    horizon: int,
-    rng: RngHandle,
-    min_transmissions: int = 100,
-) -> ConditionalStats:
+def estimate_conditional_stats(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle,
+                               min_transmissions: int = 100, strict: bool = True,
+                               jobs: int = 1) -> ConditionalStats:
     """Transmission-conditional statistics from one long episode.
 
     Returns estimates of the conditional squared error (overall and per sign
     branch), the conditional payload power E[Y²|U=1], the transmit frequency,
-    and the conditional estimator bias E[x_hat - x | U=1].  Raises when the
-    episode produced fewer than ``min_transmissions`` transmissions (or a
-    sign branch too thin to carry a standard error).
+    and the conditional estimator bias E[x_hat - x | U=1], each reduced
+    block by block into streaming moments.  With fewer than
+    ``min_transmissions`` transmissions the transmission-conditional
+    statistics cannot be estimated, nor can a sign branch with fewer than 2;
+    ``strict`` raises then, otherwise those statistics are None.
     """
-    trace = run_episode(p, strat, horizon, rng)
-    on = trace.u
-    n_tx = int(np.count_nonzero(on))
+    def moments(b: _Block):
+        on = b.u
+        err = b.x_hat[on] - b.x[on]
+        sq = np.square(err)
+        pos = b.s_on == 1
+        return (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
+                Moments.of(np.square(b.y_on)), Moments.of(on), Moments.of(err))
+
+    acc = (Moments(),) * 6
+    for part in _simulate(p, strat, horizon, 1, rng, moments, jobs):
+        acc = tuple(a.merge(b) for a, b in zip(acc, part))
+    mse, pos, neg, power, freq, bias = acc
+    n_tx = mse.n
+    problem = None
     if n_tx < min_transmissions:
-        raise ValueError(
-            f"only {n_tx} transmissions in {horizon} stages; "
-            f"need at least {min_transmissions} for conditional statistics"
-        )
-    err = trace.x_hat[on] - trace.x[on]
-    sq = err**2
-    pos = trace.s[on] == 1
-    neg = trace.s[on] == -1
-    if np.count_nonzero(pos) < 2 or np.count_nonzero(neg) < 2:
-        raise ValueError("a sign branch has fewer than 2 transmissions")
-    return ConditionalStats(
-        mse_tx=MonteCarloEstimate.from_samples(sq),
-        mse_tx_pos=MonteCarloEstimate.from_samples(sq[pos]),
-        mse_tx_neg=MonteCarloEstimate.from_samples(sq[neg]),
-        power=MonteCarloEstimate.from_samples(trace.y[on] ** 2),
-        tx_frequency=MonteCarloEstimate.from_samples(on.astype(np.float64)),
-        bias_tx=MonteCarloEstimate.from_samples(err),
-        n_transmissions=n_tx,
-    )
+        problem = (f"only {n_tx} transmissions in {int(horizon)} stages; "
+                   f"need at least {min_transmissions} for conditional statistics")
+        mse = pos = neg = power = bias = Moments()
+    elif pos.n < 2 or neg.n < 2:
+        problem = "a sign branch has fewer than 2 transmissions"
+    if problem is not None and strict:
+        raise ValueError(problem)
+    estimates = (m.estimate() if m.n >= 2 else None for m in (mse, pos, neg, power, freq, bias))
+    return ConditionalStats(*estimates, n_transmissions=n_tx, problem=problem)
 
 
 @dataclass(frozen=True)
@@ -272,45 +374,32 @@ class StationarityReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage_means": [e.to_json_dict() for e in self.stage_means],
-            "max_pairwise_z": self.max_pairwise_z,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
-def stationarity_check(
-    p: SystemParams,
-    strat: Strategy,
-    horizon: int,
-    n_episodes: int,
-    rng: RngHandle,
-    threshold: float = 4.0,
-) -> StationarityReport:
+def stationarity_check(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
+                       rng: RngHandle, threshold: float = 4.0) -> StationarityReport:
     """Are per-stage mean costs statistically indistinguishable across stages?
 
     Under a stationary strategy the stage costs are i.i.d. across time, so
     all per-stage means must agree within joint standard errors; a policy
-    that changes mid-episode shows up as a large pairwise z.  Episodes are
-    drawn as one (n_episodes, horizon) block from the handle, which is
-    statistically identical to independent episodes and much faster.
+    that changes mid-episode shows up as a large pairwise z.  Each block
+    reduces to per-stage moments over its episodes.
     """
     horizon = int(horizon)
     n_episodes = int(n_episodes)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if n_episodes < 2:
         raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
-    source = LaplaceDist(0.0, 1.0 / p.lam)
-    noise = GammaDist(p.k, p.theta)
-    x = sample_laplace(source, rng, size=n_episodes * horizon).reshape(n_episodes, horizon)
-    v = sample_gamma(noise, rng, size=n_episodes * horizon).reshape(n_episodes, horizon)
-    t = np.arange(1, horizon + 1)[None, :]
-    _, _, _, _, _, stage_cost = _simulate_block(p, strat, t, x, v)
 
-    means = stage_cost.mean(axis=0)
-    ses = stage_cost.std(axis=0, ddof=1) / np.sqrt(n_episodes)
+    def per_stage(b: _Block):
+        return b.c0, Moments.of(_stage_cost(p, b), axis=0)
+
+    pieces: dict[int, Moments] = {}
+    for c0, part in _simulate(p, strat, horizon, n_episodes, rng, per_stage):
+        pieces[c0] = pieces.get(c0, Moments()).merge(part)
+    means = np.concatenate([pieces[c0].mean for c0 in sorted(pieces)])
+    m2 = np.concatenate([pieces[c0].m2 for c0 in sorted(pieces)])
+    ses = np.sqrt(m2 / (n_episodes - 1)) / np.sqrt(n_episodes)
     if horizon == 1:
         max_z = 0.0
     else:
@@ -318,13 +407,6 @@ def stationarity_check(
         joint = np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
         iu = np.triu_indices(horizon, k=1)
         max_z = float(np.max(gap[iu] / joint[iu]))
-    estimates = tuple(
-        MonteCarloEstimate(mean=float(means[i]), std_error=float(ses[i]), n=n_episodes)
-        for i in range(horizon)
-    )
-    return StationarityReport(
-        stage_means=estimates,
-        max_pairwise_z=max_z,
-        threshold=threshold,
-        passed=bool(max_z < threshold),
-    )
+    estimates = tuple(MonteCarloEstimate(float(m), float(se), n_episodes)
+                      for m, se in zip(means, ses))
+    return StationarityReport(estimates, max_z, threshold, passed=bool(max_z < threshold))

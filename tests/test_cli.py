@@ -121,7 +121,21 @@ class TestValidation:
                            horizon=100, episodes=10, out=str(tmp_path / "r.json"))
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "transmissions" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
+        # the report is still written: the cost check stands, and each
+        # statistic that could not be estimated is a failed row with nulls
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["passed"] is False
+        rows = {r["metric"]: r for r in report["checks"]}
+        assert list(rows) == ["per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg",
+                              "power", "tx_frequency", "bias_tx"]
+        assert rows["per_stage_cost"]["n"] == 10
+        assert rows["per_stage_cost"]["passed"] is True
+        assert rows["tx_frequency"]["n"] == 1_000
+        for name in ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx"):
+            row = rows[name]
+            assert row["estimate"] is None and row["std_error"] is None, name
+            assert row["z"] is None and row["passed"] is False, name
+            assert row["target"] is not None, name
 
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=5,

@@ -65,6 +65,20 @@ class TestRngHandle:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_substream_keys_do_not_collide(self):
+        # a path is a spawn key: SeedSequence zero-pads short entropy, so a
+        # path keyed as entropy would repeat its parent's or its prefix's draws
+        draw = lambda h: h.generator.random(64)
+        root = RngHandle(7)
+        assert not np.array_equal(draw(root.substream(0)), draw(RngHandle(7)))
+        assert not np.array_equal(draw(RngHandle(7, 0, (5,))), draw(RngHandle(7, 0, (5, 0))))
+        assert not np.array_equal(draw(root.substream(40)), draw(root.substream(40).substream(0)))
+
+    def test_root_handle_draws_unchanged_by_keying(self):
+        ss = np.random.SeedSequence([7, 3])
+        expected = np.random.Generator(np.random.PCG64(ss)).random(8)
+        assert np.array_equal(RngHandle(7, 3).generator.random(8), expected)
+
     def test_scalar_draws_match_prefix_cost(self):
         x = sample_laplace(LaplaceDist(0.0, 2.0), RngHandle(5))
         assert isinstance(x, float)

@@ -1,13 +1,16 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from remest.analytics import cost_closed_form, optimal_threshold
-from remest.distributions import RngHandle
+from remest.distributions import LaplaceDist, RngHandle, sample_laplace
 from remest.simulator import (
+    CHUNK_STAGES,
+    Moments,
     MonteCarloEstimate,
     estimate_conditional_stats,
     estimate_cost,
@@ -44,6 +47,25 @@ class TestMonteCarloEstimate:
         assert est.z_score(0.9) == float("inf")
         assert est.covers(1.0)
         assert not est.covers(0.9)
+
+
+class TestMoments:
+    def test_merged_pieces_match_from_samples(self):
+        x = np.random.default_rng(0).gamma(0.5, 3.0, size=10_001) + 1e3
+        whole = MonteCarloEstimate.from_samples(x)
+        acc = Moments()
+        for piece in np.split(x, [0, 1, 7, 4_096, 4_097, 9_000]):
+            acc = acc.merge(Moments.of(piece))
+        merged = acc.estimate()
+        assert merged.n == whole.n
+        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
+        np.testing.assert_allclose(merged.std_error, whole.std_error, rtol=1e-12)
+
+    def test_per_column_moments(self):
+        x = np.random.default_rng(1).laplace(size=(50, 3))
+        acc = Moments.of(x[:20], axis=0).merge(Moments.of(x[20:], axis=0))
+        np.testing.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(acc.m2, x.var(axis=0) * 50, rtol=1e-12)
 
 
 class TestRunEpisode:
@@ -142,6 +164,15 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             run_episode(REF, OPTIMAL, 0, RngHandle(0))
 
+    def test_block_i_draws_from_substream_i(self):
+        rng = RngHandle(8, 2)
+        tr = run_episode(REF, OPTIMAL, CHUNK_STAGES + 5, rng)
+        source = LaplaceDist(0.0, 1.0 / REF.lam)
+        assert np.array_equal(tr.x[:CHUNK_STAGES],
+                              sample_laplace(source, rng.substream(0), size=CHUNK_STAGES))
+        assert np.array_equal(tr.x[CHUNK_STAGES:],
+                              sample_laplace(source, rng.substream(1), size=5))
+
 
 class TestEstimateCost:
     def test_matches_closed_form_at_optimum(self):
@@ -165,6 +196,23 @@ class TestEstimateCost:
         serial = estimate_cost(REF, OPTIMAL, 1_000, 40, RngHandle(2025, 3), jobs=1)
         threaded = estimate_cost(REF, OPTIMAL, 1_000, 40, RngHandle(2025, 3), jobs=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("horizon", [CHUNK_STAGES // 3, 2 * CHUNK_STAGES + 17])
+    def test_jobs_do_not_change_the_estimate(self, horizon):
+        # below CHUNK_STAGES a block holds whole episodes; above it an
+        # episode spans several blocks
+        serial = estimate_cost(REF, OPTIMAL, horizon, 13, RngHandle(2025, 13), jobs=1)
+        threaded = estimate_cost(REF, OPTIMAL, horizon, 13, RngHandle(2025, 13), jobs=4)
+        assert serial == threaded
+
+    def test_episode_totals_match_run_episode(self):
+        horizon = CHUNK_STAGES + 100
+        rng = RngHandle(2025, 14)
+        est = estimate_cost(REF, OPTIMAL, horizon, 2, rng)
+        # a one-episode run on the same handle draws the first episode's blocks
+        first = run_episode(REF, OPTIMAL, horizon, rng).total_cost / horizon
+        second = 2.0 * est.mean - first
+        np.testing.assert_allclose(est.std_error, abs(first - second) / 2.0, rtol=1e-9)
 
     def test_requires_two_episodes(self):
         with pytest.raises(ValueError):
@@ -198,6 +246,38 @@ class TestConditionalStats:
         sparse = ThresholdAffineStrategy(REF, 25.0)
         with pytest.raises(ValueError, match="transmissions"):
             estimate_conditional_stats(REF, sparse, 1_000, RngHandle(2025, 6))
+
+    def test_streaming_moments_match_the_trace(self):
+        # the episode spans several blocks; the merged moments must agree
+        # with the statistics of the concatenated samples
+        horizon = 3 * CHUNK_STAGES + 17
+        rng = RngHandle(2025, 15)
+        stats = estimate_conditional_stats(REF, OPTIMAL, horizon, rng)
+        tr = run_episode(REF, OPTIMAL, horizon, rng)
+        on = tr.u
+        err = tr.x_hat[on] - tr.x[on]
+        expected = {
+            "mse_tx": err**2,
+            "mse_tx_pos": err[tr.s[on] == 1] ** 2,
+            "mse_tx_neg": err[tr.s[on] == -1] ** 2,
+            "power": tr.y[on] ** 2,
+            "tx_frequency": on,
+            "bias_tx": err,
+        }
+        for name, samples in expected.items():
+            got = getattr(stats, name)
+            want = MonteCarloEstimate.from_samples(samples)
+            assert got.n == want.n, name
+            np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(got.std_error, want.std_error, rtol=1e-12, err_msg=name)
+
+    def test_lenient_mode_marks_missing_statistics(self):
+        sparse = ThresholdAffineStrategy(REF, 25.0)
+        stats = estimate_conditional_stats(REF, sparse, 1_000, RngHandle(2025, 6), strict=False)
+        assert "transmissions" in stats.problem
+        assert stats.mse_tx is None and stats.power is None and stats.bias_tx is None
+        assert stats.tx_frequency.n == 1_000
+        assert stats.to_json_dict()["mse_tx"] is None
 
     def test_json_payload(self):
         stats = estimate_conditional_stats(REF, OPTIMAL, 20_000, RngHandle(2025, 7))
@@ -260,3 +340,35 @@ class TestTraceExport:
         run_episode(REF, OPTIMAL, 100, RngHandle(7, 7)).write_jsonl(a)
         run_episode(REF, OPTIMAL, 100, RngHandle(7, 7)).write_jsonl(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBoundedMemory:
+    """The kernel holds a few blocks, not the whole run: the traced peak at
+    2^20 stages stays within a small constant of the peak at 2^16 stages."""
+
+    SLACK = 64 * 1024  # bytes: the per-episode totals and allocator noise
+
+    @staticmethod
+    def _peak(fn) -> int:
+        fn()  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("horizon", [1_000, 2**14])
+    def test_estimate_cost(self, horizon):
+        small = self._peak(lambda: estimate_cost(REF, OPTIMAL, horizon, 2**16 // horizon,
+                                                 RngHandle(3)))
+        large = self._peak(lambda: estimate_cost(REF, OPTIMAL, horizon, 2**20 // horizon,
+                                                 RngHandle(3)))
+        assert large <= small + self.SLACK, (small, large)
+
+    def test_estimate_conditional_stats(self):
+        small = self._peak(lambda: estimate_conditional_stats(REF, OPTIMAL, 2**16, RngHandle(4)))
+        large = self._peak(lambda: estimate_conditional_stats(REF, OPTIMAL, 2**20, RngHandle(4)))
+        assert large <= small + self.SLACK, (small, large)
+        # and far below the 2^20 * 8 bytes of a single float column
+        assert large < 2**20
