@@ -46,106 +46,87 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(key: str, value) -> float:
+_COMMON_KEYS = {
+    "schema_version", "lambda", "k", "p_t", "c", "seed", "stream", "format", "out",
+}
+_COMMAND_KEYS = {
+    "simulate": _COMMON_KEYS | {"strategy", "beta", "horizon", "episodes", "jobs"},
+    "optimize": _COMMON_KEYS | {
+        "horizon", "episodes", "jobs", "argmin_lo", "argmin_hi", "argmin_tol",
+    },
+    "verify-matching": _COMMON_KEYS | {
+        "pair", "samples", "omega_min", "omega_max", "omega_points",
+    },
+    "sweep": _COMMON_KEYS | {
+        "lambda_grid", "k_grid", "p_t_grid", "c_grid", "argmin_tol",
+        "spot_check", "spot_horizon", "spot_episodes",
+    },
+}
+
+_DEFAULTS = {
+    "seed": 0,
+    "stream": 0,
+    "format": "json",
+    "out": None,
+    "strategy": "optimal",
+    "beta": None,
+    "horizon": 10_000,
+    "episodes": 100,
+    "jobs": 1,
+    "argmin_lo": 0.0,
+    "argmin_hi": 10.0,
+    "argmin_tol": 1e-8,
+    "pair": "matched",
+    "samples": 1_000_000,
+    "omega_min": -5.0,
+    "omega_max": 5.0,
+    "omega_points": 101,
+    "lambda_grid": list(analytics.SWEEP_LAMBDAS),
+    "k_grid": list(analytics.SWEEP_SHAPES),
+    "p_t_grid": list(analytics.SWEEP_POWERS),
+    "c_grid": list(analytics.SWEEP_COSTS),
+    "spot_check": False,
+    "spot_horizon": 2_000,
+    "spot_episodes": 10,
+}
+
+_STRATEGY_NAMES = ("optimal", "threshold", "always", "never", "noise_blind")
+
+
+def _positive_float(cfg: dict, key: str) -> float:
+    if key not in cfg:
+        raise ConfigError(f"missing required config field '{key}'")
+    value = cfg[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config field '{key}' must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"config field '{key}' must be finite, got {value!r}")
-    return float(value)
-
-
-def _positive(key: str, value) -> float:
-    value = _number(key, value)
-    if value <= 0.0:
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
         raise ConfigError(f"config field '{key}' must be positive and finite, got {value!r}")
     return value
 
 
-def _nonnegative(key: str, value) -> float:
-    value = _number(key, value)
-    if value < 0.0:
-        raise ConfigError(f"config field '{key}' must be >= 0, got {value!r}")
+def _int_at_least(cfg: dict, key: str, minimum: int) -> int:
+    value = cfg[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"config field '{key}' must be >= {minimum}, got {value}")
     return value
 
 
-def _integer(minimum: int, maximum: int | None = None):
-    def check(key: str, value) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
-        if value < minimum or (maximum is not None and value > maximum):
-            bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-            raise ConfigError(f"config field '{key}' must be {bound}, got {value}")
-        return value
-    return check
-
-
-def _choice(*options):
-    def check(key: str, value):
-        if value not in options:
-            raise ConfigError(f"config field '{key}' must be one of {options}, got {value!r}")
-        return options[options.index(value)]
-    return check
-
-
-def _optional(check):
-    return lambda key, value: None if value is None else check(key, value)
-
-
-def _text(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"config field '{key}' must be a string path")
-    return value
-
-
-def _flag(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config field '{key}' must be a boolean")
-    return value
-
-
-def _grid(key: str, value) -> list[float]:
+def _grid(cfg: dict, key: str) -> list[float]:
+    value = cfg[key]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config field '{key}' must be a non-empty list of numbers")
-    return [_positive(key, item) for item in value]
-
-
-_REQUIRED = object()
-_ALL = ("simulate", "optimize", "verify-matching", "sweep")
-_MC = ("simulate", "optimize")
-_STRATEGY_NAMES = ("optimal", "threshold", "always", "never", "noise_blind")
-
-# key: (default, commands that accept it, check that returns the normalized value)
-_FIELDS = {
-    "schema_version": (_REQUIRED, _ALL, _choice(SCHEMA_VERSION)),
-    "lambda": (_REQUIRED, _ALL, _positive),
-    "k": (_REQUIRED, _ALL, _positive),
-    "p_t": (_REQUIRED, _ALL, _positive),
-    "c": (_REQUIRED, _ALL, _positive),
-    "seed": (0, _ALL, _integer(0)),
-    "stream": (0, _ALL, _integer(0)),
-    "format": ("json", _ALL, _choice("json", "csv")),
-    "out": (None, _ALL, _optional(_text)),
-    "strategy": ("optimal", ("simulate",), _choice(*_STRATEGY_NAMES)),
-    "beta": (None, ("simulate",), _optional(_nonnegative)),
-    "horizon": (10_000, _MC, _integer(1)),
-    "episodes": (100, _MC, _integer(2)),
-    "jobs": (1, _MC, _integer(1, MAX_JOBS)),
-    "argmin_lo": (0.0, ("optimize",), _nonnegative),
-    "argmin_hi": (10.0, ("optimize",), _number),
-    "argmin_tol": (1e-8, ("optimize", "sweep"), _positive),
-    "pair": ("matched", ("verify-matching",), _choice("matched", "unmatched")),
-    "samples": (1_000_000, ("verify-matching",), _integer(10_000)),
-    "omega_min": (-5.0, ("verify-matching",), _number),
-    "omega_max": (5.0, ("verify-matching",), _number),
-    "omega_points": (101, ("verify-matching",), _integer(2)),
-    "lambda_grid": (list(analytics.SWEEP_LAMBDAS), ("sweep",), _grid),
-    "k_grid": (list(analytics.SWEEP_SHAPES), ("sweep",), _grid),
-    "p_t_grid": (list(analytics.SWEEP_POWERS), ("sweep",), _grid),
-    "c_grid": (list(analytics.SWEEP_COSTS), ("sweep",), _grid),
-    "spot_check": (False, ("sweep",), _flag),
-    "spot_horizon": (2_000, ("sweep",), _integer(1)),
-    "spot_episodes": (10, ("sweep",), _integer(2)),
-}
+    out = []
+    for item in value:
+        if not isinstance(item, (int, float)) or isinstance(item, bool):
+            raise ConfigError(f"config field '{key}' must contain only numbers, got {item!r}")
+        item = float(item)
+        if not math.isfinite(item) or item <= 0.0:
+            raise ConfigError(f"config field '{key}' entries must be positive, got {item!r}")
+        out.append(item)
+    return out
 
 
 def load_config(path: str, command: str, overrides: dict) -> dict:
@@ -160,25 +141,88 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    fields = {key: spec for key, spec in _FIELDS.items() if command in spec[1]}
-    unknown = sorted(set(raw) - set(fields))
+    allowed = _COMMAND_KEYS[command]
+    unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(
             f"unknown config field(s) for {command}: {', '.join(unknown)}"
         )
-    raw.update((key, value) for key, value in overrides.items() if value is not None)
-    cfg = {}
-    for key, (default, _, check) in fields.items():
-        if key not in raw and default is _REQUIRED:
-            raise ConfigError(f"missing required config field '{key}'")
-        cfg[key] = check(key, raw.get(key, default))
+    if raw.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(
+            f"config field 'schema_version' must be {SCHEMA_VERSION}, "
+            f"got {raw.get('schema_version')!r}"
+        )
 
-    if command == "simulate" and cfg["strategy"] == "threshold" and cfg["beta"] is None:
-        raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
-    if command == "optimize" and cfg["argmin_lo"] >= cfg["argmin_hi"]:
-        raise ConfigError("need 0 <= argmin_lo < argmin_hi")
-    if command == "verify-matching" and cfg["omega_min"] >= cfg["omega_max"]:
-        raise ConfigError("need omega_min < omega_max")
+    cfg = {key: _DEFAULTS[key] for key in allowed if key in _DEFAULTS}
+    cfg["schema_version"] = SCHEMA_VERSION
+    cfg.update(raw)
+    for key, value in overrides.items():
+        if value is not None:
+            cfg[key] = value
+
+    for key in ("lambda", "k", "p_t", "c"):
+        cfg[key] = _positive_float(cfg, key)
+    cfg["seed"] = _int_at_least(cfg, "seed", 0)
+    cfg["stream"] = _int_at_least(cfg, "stream", 0)
+    if cfg["format"] not in ("json", "csv"):
+        raise ConfigError(f"config field 'format' must be 'json' or 'csv', got {cfg['format']!r}")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ConfigError("config field 'out' must be a string path")
+
+    if command in ("simulate", "optimize"):
+        cfg["horizon"] = _int_at_least(cfg, "horizon", 1)
+        cfg["episodes"] = _int_at_least(cfg, "episodes", 2)
+        cfg["jobs"] = _int_at_least(cfg, "jobs", 1)
+        if cfg["jobs"] > MAX_JOBS:
+            raise ConfigError(f"config field 'jobs' must be <= {MAX_JOBS}, got {cfg['jobs']}")
+    if command == "simulate":
+        if cfg["strategy"] not in _STRATEGY_NAMES:
+            raise ConfigError(
+                f"config field 'strategy' must be one of {_STRATEGY_NAMES}, "
+                f"got {cfg['strategy']!r}"
+            )
+        if cfg["beta"] is not None:
+            beta = cfg["beta"]
+            if not isinstance(beta, (int, float)) or isinstance(beta, bool) \
+                    or not math.isfinite(float(beta)) or float(beta) < 0.0:
+                raise ConfigError(f"config field 'beta' must be a finite number >= 0, got {beta!r}")
+            cfg["beta"] = float(beta)
+        elif cfg["strategy"] == "threshold":
+            raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
+    elif command == "optimize":
+        for key in ("argmin_lo", "argmin_hi", "argmin_tol"):
+            value = cfg[key]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"config field '{key}' must be a number, got {value!r}")
+            cfg[key] = float(value)
+        if not (0.0 <= cfg["argmin_lo"] < cfg["argmin_hi"]):
+            raise ConfigError("need 0 <= argmin_lo < argmin_hi")
+        if cfg["argmin_tol"] <= 0.0:
+            raise ConfigError("config field 'argmin_tol' must be positive")
+    elif command == "verify-matching":
+        if cfg["pair"] not in ("matched", "unmatched"):
+            raise ConfigError(f"config field 'pair' must be 'matched' or 'unmatched', got {cfg['pair']!r}")
+        cfg["samples"] = _int_at_least(cfg, "samples", 10_000)
+        cfg["omega_points"] = _int_at_least(cfg, "omega_points", 2)
+        for key in ("omega_min", "omega_max"):
+            value = cfg[key]
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or not math.isfinite(float(value)):
+                raise ConfigError(f"config field '{key}' must be a finite number, got {value!r}")
+            cfg[key] = float(value)
+        if cfg["omega_min"] >= cfg["omega_max"]:
+            raise ConfigError("need omega_min < omega_max")
+    elif command == "sweep":
+        for key in ("lambda_grid", "k_grid", "p_t_grid", "c_grid"):
+            cfg[key] = _grid(cfg, key)
+        value = cfg["argmin_tol"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or float(value) <= 0.0:
+            raise ConfigError(f"config field 'argmin_tol' must be a positive number, got {value!r}")
+        cfg["argmin_tol"] = float(value)
+        if not isinstance(cfg["spot_check"], bool):
+            raise ConfigError("config field 'spot_check' must be a boolean")
+        cfg["spot_horizon"] = _int_at_least(cfg, "spot_horizon", 1)
+        cfg["spot_episodes"] = _int_at_least(cfg, "spot_episodes", 2)
     return cfg
 
 
@@ -226,13 +270,15 @@ def _check(name: str, estimate: simulator.MonteCarloEstimate | None, target) -> 
         "passed": None,
     }
     if target is not None:
-        row["z"] = estimate.z_score(target)
+        z = estimate.z_score(target)
+        # a zero standard error with a gap gives an infinite z, which JSON
+        # cannot hold; such a row fails anyway
+        row["z"] = z if math.isfinite(z) else None
         row["passed"] = estimate.covers(target, SIGMAS)
     return row
 
 
 def cmd_simulate(cfg: dict) -> dict:
-    """Monte Carlo run of a strategy with closed-form cross checks"""
     p = _params(cfg)
     strat, beta = _build_strategy(cfg, p)
     rng = RngHandle(cfg["seed"], cfg["stream"])
@@ -253,8 +299,7 @@ def cmd_simulate(cfg: dict) -> dict:
         # a separate substream so the conditional episode is independent of
         # the cost episodes above
         stats = simulator.estimate_conditional_stats(
-            p, strat, cfg["horizon"] * cfg["episodes"], rng.substream(cfg["episodes"]),
-            strict=False, jobs=cfg["jobs"],
+            p, strat, cfg["horizon"] * cfg["episodes"], rng.substream(cfg["episodes"])
         )
         if stats.problem is not None:
             print(f"error: {stats.problem}", file=sys.stderr)
@@ -277,7 +322,6 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_optimize(cfg: dict) -> dict:
-    """optimal threshold: formula vs golden-section argmin vs Monte Carlo"""
     p = _params(cfg)
     formula = analytics.optimal_threshold(p)
     numeric = analytics.numeric_argmin(p, cfg["argmin_lo"], cfg["argmin_hi"], cfg["argmin_tol"])
@@ -319,7 +363,6 @@ def cmd_optimize(cfg: dict) -> dict:
 
 
 def cmd_verify_matching(cfg: dict) -> dict:
-    """analytic and empirical characteristic-function residuals"""
     p = _params(cfg)
     grid = tuple(np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"]))
     rng = RngHandle(cfg["seed"], cfg["stream"])
@@ -383,7 +426,6 @@ def cmd_verify_matching(cfg: dict) -> dict:
 
 
 def cmd_sweep(cfg: dict) -> dict:
-    """formula/numeric threshold agreement over a parameter grid"""
     rows = analytics.threshold_sweep(
         cfg["lambda_grid"], cfg["k_grid"], cfg["p_t_grid"], cfg["c_grid"],
         tol=cfg["argmin_tol"],
@@ -455,35 +497,35 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_table(report: dict) -> tuple[list, list]:
-    """The report as one CSV table: (header, rows)."""
-    command = report["command"]
-    if command == "simulate":
-        header = ["metric", "estimate", "std_error", "n", "target", "z", "passed"]
-        return header, [[row[k] for k in header] for row in report["checks"]]
-    if command == "optimize":
-        keys = ("beta_star_formula", "beta_star_numeric", "j_at_beta_star_formula",
-                "j_at_beta_star_numeric", "mc_cost_mean", "mc_cost_std_error", "mc_cost_n",
-                "passed")
-        return ["field", "value"], [[key, report[key]] for key in keys]
-    if command == "verify-matching":
-        cols = ["omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"]
-        return ["check"] + cols, [[label] + [point[k] for k in cols]
-                                  for label in ("analytic", "empirical")
-                                  for point in report[label]["points"]]
-    header = ["lambda", "k", "P_T", "c", "beta_star_formula", "beta_star_numeric",
-              "J_at_beta_star"]
-    if report["config"]["spot_check"]:
-        header += ["j_mc_mean", "j_mc_std_error", "j_mc_within_4se"]
-    return header, [[row[k] for k in header] for row in report["rows"]]
-
-
 def _write_csv(report: dict, path: str) -> None:
-    header, rows = _csv_table(report)
+    command = report["command"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_csv_cell(value) for value in row] for row in rows)
+        if command == "simulate":
+            writer.writerow(["metric", "estimate", "std_error", "n", "target", "z", "passed"])
+            for row in report["checks"]:
+                writer.writerow([_csv_cell(row[k]) for k in
+                                 ("metric", "estimate", "std_error", "n", "target", "z", "passed")])
+        elif command == "optimize":
+            writer.writerow(["field", "value"])
+            for key in ("beta_star_formula", "beta_star_numeric",
+                        "j_at_beta_star_formula", "j_at_beta_star_numeric",
+                        "mc_cost_mean", "mc_cost_std_error", "mc_cost_n", "passed"):
+                writer.writerow([key, _csv_cell(report[key])])
+        elif command == "verify-matching":
+            writer.writerow(["check", "omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"])
+            for label in ("analytic", "empirical"):
+                for point in report[label]["points"]:
+                    writer.writerow([label] + [_csv_cell(point[k]) for k in
+                                               ("omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")])
+        else:
+            header = ["lambda", "k", "P_T", "c",
+                      "beta_star_formula", "beta_star_numeric", "J_at_beta_star"]
+            if report["config"]["spot_check"]:
+                header += ["j_mc_mean", "j_mc_std_error", "j_mc_within_4se"]
+            writer.writerow(header)
+            for row in report["rows"]:
+                writer.writerow([_csv_cell(row[k]) for k in header])
 
 
 _COMMANDS = {
@@ -494,6 +536,14 @@ _COMMANDS = {
 }
 
 
+_COMMAND_HELP = {
+    "simulate": "Monte Carlo run of a strategy with closed-form cross checks",
+    "optimize": "optimal threshold: formula vs golden-section argmin vs Monte Carlo",
+    "verify-matching": "analytic and empirical characteristic-function residuals",
+    "sweep": "formula/numeric threshold agreement over a parameter grid",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="remest",
@@ -501,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=_COMMANDS[name].__doc__)
+        cmd = sub.add_parser(name, help=_COMMAND_HELP[name])
         cmd.add_argument("--config", required=True, help="path to flat JSON config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--out", default=None, help="override report output path")

@@ -9,15 +9,12 @@ column piece of one episode when the horizon is longer than a block), block
 i draws its source and noise from ``rng.substream(i)``, the policy is
 applied once per block, and each estimator folds the blocks, in block
 order, into its own small reducer.  Memory therefore stays bounded by the
-block size, and results do not depend on the number of worker threads.
+block size.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -39,7 +36,7 @@ __all__ = [
     "stationarity_check",
 ]
 
-# Stages per block: the kernel holds a few arrays of this length per worker.
+# Stages per block: the kernel holds a few arrays of this length at a time.
 # Larger blocks buy little speed and raise the peak memory of short runs.
 CHUNK_STAGES = 1 << 12
 
@@ -144,7 +141,7 @@ class EpisodeTrace:
 
     def write_jsonl(self, file) -> None:
         """One JSON object per stage; silent stages carry null ``y``, ``y_tilde`` and ``s``."""
-        with nullcontext(file) if hasattr(file, "write") else open(file, "w") as fh:
+        def _write(fh):
             for i in range(self.horizon):
                 on = bool(self.u[i])
                 fh.write(json.dumps({
@@ -159,6 +156,12 @@ class EpisodeTrace:
                     "stage_cost": float(self.stage_cost[i]),
                 }, sort_keys=True))
                 fh.write("\n")
+
+        if hasattr(file, "write"):
+            _write(file)
+        else:
+            with open(file, "w") as fh:
+                _write(fh)
 
 
 class _Block(NamedTuple):
@@ -191,15 +194,13 @@ def _layout(horizon: int, n_episodes: int):
 
 
 def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
-              rng: RngHandle, reduce, jobs: int = 1):
+              rng: RngHandle, reduce):
     """Yield ``reduce(block)`` for every block, in block order.
 
     Block i draws the source and then the channel noise from
     ``rng.substream(i)``; the noise is drawn whether or not a stage
     transmits, so strategies run under identically keyed handles see the
-    same paths (common random numbers).  With ``jobs > 1`` blocks are
-    simulated and reduced on a thread pool, at most ``2·jobs`` ahead of the
-    consumer.
+    same paths (common random numbers).
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -207,7 +208,8 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
     source = LaplaceDist(0.0, 1.0 / p.lam)
     noise = GammaDist(p.k, p.theta)
 
-    def work(i, r0, r1, c0, c1):
+    # one call per block, so a block's arrays are freed before the next is drawn
+    def block(i, r0, r1, c0, c1):
         sub = rng.substream(i)
         shape = (r1 - r0, c1 - c0)
         x = sample_laplace(source, sub, size=shape[0] * shape[1]).reshape(shape)
@@ -225,19 +227,8 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
             x_hat[u] = strat.decode(t_on, y_on + v[u], s_on)
         return reduce(_Block(r0, r1, c0, c1, x, v, u, x_hat, y_on, s_on))
 
-    blocks = enumerate(_layout(horizon, int(n_episodes)))
-    if jobs == 1:
-        for i, bounds in blocks:
-            yield work(i, *bounds)
-        return
-    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-        pending = deque()
-        for i, bounds in blocks:
-            pending.append(pool.submit(work, i, *bounds))
-            if len(pending) > 2 * jobs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    for i, bounds in enumerate(_layout(horizon, int(n_episodes))):
+        yield block(i, *bounds)
 
 
 def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
@@ -276,19 +267,37 @@ def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) 
 
     for _ in _simulate(p, strat, horizon, 1, rng, record):
         pass
-    return EpisodeTrace(p, horizon, x, u, y, v, y_tilde, s, x_hat, stage_cost,
-                        total_cost=float(stage_cost.sum()))
+    return EpisodeTrace(
+        params=p,
+        horizon=horizon,
+        x=x,
+        u=u,
+        y=y,
+        v=v,
+        y_tilde=y_tilde,
+        s=s,
+        x_hat=x_hat,
+        stage_cost=stage_cost,
+        total_cost=float(stage_cost.sum()),
+    )
 
 
-def estimate_cost(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
-                  rng: RngHandle, jobs: int = 1) -> MonteCarloEstimate:
+def estimate_cost(
+    p: SystemParams,
+    strat: Strategy,
+    horizon: int,
+    n_episodes: int,
+    rng: RngHandle,
+    jobs: int = 1,
+) -> MonteCarloEstimate:
     """Mean per-stage cost across independent episodes.
 
     Block i always runs on ``rng.substream(i)`` and episode totals are
-    summed in block order, so any ``jobs`` gives identical estimates, and
-    repeated calls with an identically keyed handle and the same shape reuse
-    identical draws (the common-random-numbers hook for strategy
-    comparisons).  Memory is O(block + episodes).
+    summed in block order, so repeated calls with an identically keyed
+    handle and the same shape reuse identical draws (the
+    common-random-numbers hook for strategy comparisons).  Memory is
+    O(block + episodes).  Blocks run serially: ``jobs`` is accepted and
+    does not change the result.
     """
     n_episodes = int(n_episodes)
     if n_episodes < 2:
@@ -298,7 +307,7 @@ def estimate_cost(p: SystemParams, strat: Strategy, horizon: int, n_episodes: in
     def row_sums(b: _Block):
         return b.r0, b.r1, _stage_cost(p, b).sum(axis=1)
 
-    for r0, r1, sums in _simulate(p, strat, horizon, n_episodes, rng, row_sums, jobs):
+    for r0, r1, sums in _simulate(p, strat, horizon, n_episodes, rng, row_sums):
         totals[r0:r1] += sums
     return MonteCarloEstimate.from_samples(totals / int(horizon))
 
@@ -324,9 +333,13 @@ class ConditionalStats:
         return {k: v for k, v in asdict(self).items() if k != "problem"}
 
 
-def estimate_conditional_stats(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle,
-                               min_transmissions: int = 100, strict: bool = True,
-                               jobs: int = 1) -> ConditionalStats:
+def estimate_conditional_stats(
+    p: SystemParams,
+    strat: Strategy,
+    horizon: int,
+    rng: RngHandle,
+    min_transmissions: int = 100,
+) -> ConditionalStats:
     """Transmission-conditional statistics from one long episode.
 
     Returns estimates of the conditional squared error (overall and per sign
@@ -334,8 +347,8 @@ def estimate_conditional_stats(p: SystemParams, strat: Strategy, horizon: int, r
     and the conditional estimator bias E[x_hat - x | U=1], each reduced
     block by block into streaming moments.  With fewer than
     ``min_transmissions`` transmissions the transmission-conditional
-    statistics cannot be estimated, nor can a sign branch with fewer than 2;
-    ``strict`` raises then, otherwise those statistics are None.
+    statistics cannot be estimated, nor can a sign branch with fewer than 2
+    transmissions; those statistics are then None and ``problem`` says why.
     """
     def moments(b: _Block):
         on = b.u
@@ -346,7 +359,7 @@ def estimate_conditional_stats(p: SystemParams, strat: Strategy, horizon: int, r
                 Moments.of(np.square(b.y_on)), Moments.of(on), Moments.of(err))
 
     acc = (Moments(),) * 6
-    for part in _simulate(p, strat, horizon, 1, rng, moments, jobs):
+    for part in _simulate(p, strat, horizon, 1, rng, moments):
         acc = tuple(a.merge(b) for a, b in zip(acc, part))
     mse, pos, neg, power, freq, bias = acc
     n_tx = mse.n
@@ -357,8 +370,6 @@ def estimate_conditional_stats(p: SystemParams, strat: Strategy, horizon: int, r
         mse = pos = neg = power = bias = Moments()
     elif pos.n < 2 or neg.n < 2:
         problem = "a sign branch has fewer than 2 transmissions"
-    if problem is not None and strict:
-        raise ValueError(problem)
     estimates = (m.estimate() if m.n >= 2 else None for m in (mse, pos, neg, power, freq, bias))
     return ConditionalStats(*estimates, n_transmissions=n_tx, problem=problem)
 
@@ -374,11 +385,22 @@ class StationarityReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "stage_means": [e.to_json_dict() for e in self.stage_means],
+            "max_pairwise_z": self.max_pairwise_z,
+            "threshold": self.threshold,
+            "passed": self.passed,
+        }
 
 
-def stationarity_check(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
-                       rng: RngHandle, threshold: float = 4.0) -> StationarityReport:
+def stationarity_check(
+    p: SystemParams,
+    strat: Strategy,
+    horizon: int,
+    n_episodes: int,
+    rng: RngHandle,
+    threshold: float = 4.0,
+) -> StationarityReport:
     """Are per-stage mean costs statistically indistinguishable across stages?
 
     Under a stationary strategy the stage costs are i.i.d. across time, so
@@ -407,6 +429,13 @@ def stationarity_check(p: SystemParams, strat: Strategy, horizon: int, n_episode
         joint = np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
         iu = np.triu_indices(horizon, k=1)
         max_z = float(np.max(gap[iu] / joint[iu]))
-    estimates = tuple(MonteCarloEstimate(float(m), float(se), n_episodes)
-                      for m, se in zip(means, ses))
-    return StationarityReport(estimates, max_z, threshold, passed=bool(max_z < threshold))
+    estimates = tuple(
+        MonteCarloEstimate(mean=float(means[i]), std_error=float(ses[i]), n=n_episodes)
+        for i in range(horizon)
+    )
+    return StationarityReport(
+        stage_means=estimates,
+        max_pairwise_z=max_z,
+        threshold=threshold,
+        passed=bool(max_z < threshold),
+    )

@@ -123,7 +123,10 @@ class TestValidation:
         assert "transmissions" in capsys.readouterr().err
         # the report is still written: the cost check stands, and each
         # statistic that could not be estimated is a failed row with nulls
-        report = json.loads((tmp_path / "r.json").read_text())
+        def reject(token):
+            raise AssertionError(f"report is not strict JSON: {token}")
+
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
         assert report["passed"] is False
         rows = {r["metric"]: r for r in report["checks"]}
         assert list(rows) == ["per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg",
@@ -131,6 +134,9 @@ class TestValidation:
         assert rows["per_stage_cost"]["n"] == 10
         assert rows["per_stage_cost"]["passed"] is True
         assert rows["tx_frequency"]["n"] == 1_000
+        # 0 transmissions: standard error 0, an infinite z written as null
+        assert rows["tx_frequency"]["z"] is None
+        assert rows["tx_frequency"]["passed"] is False
         for name in ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx"):
             row = rows[name]
             assert row["estimate"] is None and row["std_error"] is None, name
