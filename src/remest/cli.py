@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analytics, matching, simulator, strategies
 from .distributions import (
+    KEY_LIMIT,
     ExponentialDist,
     GammaDist,
     LaplaceDist,
@@ -162,8 +163,10 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
 
     for key in ("lambda", "k", "p_t", "c"):
         cfg[key] = _positive_float(cfg, key)
-    cfg["seed"] = _int_at_least(cfg, "seed", 0)
-    cfg["stream"] = _int_at_least(cfg, "stream", 0)
+    for key in ("seed", "stream"):
+        cfg[key] = _int_at_least(cfg, key, 0)
+        if cfg[key] >= KEY_LIMIT:
+            raise ConfigError(f"config field '{key}' must be < 2^32, got {cfg[key]}")
     if cfg["format"] not in ("json", "csv"):
         raise ConfigError(f"config field 'format' must be 'json' or 'csv', got {cfg['format']!r}")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
@@ -400,16 +403,18 @@ def cmd_verify_matching(cfg: dict) -> dict:
         src_samples, noise_samples, spec.alpha, spec.gamma, grid
     )
 
+    analytic_json = analytic.to_json_dict()
+    empirical_json = empirical.to_json_dict()
     checks = [
         {
             "name": "analytic_residual",
-            "value": analytic.max_residual,
+            "value": analytic_json["max_residual"],
             "expectation": expectation,
             "passed": bool(analytic_pass(analytic.max_residual)),
         },
         {
             "name": "empirical_residual",
-            "value": empirical.max_residual,
+            "value": empirical_json["max_residual"],
             "expectation": expectation,
             "passed": bool(empirical_pass(empirical.max_residual)),
         },
@@ -418,8 +423,8 @@ def cmd_verify_matching(cfg: dict) -> dict:
         "command": "verify-matching",
         "config": cfg,
         "derived": _derived_block(p),
-        "analytic": analytic.to_json_dict(),
-        "empirical": empirical.to_json_dict(),
+        "analytic": analytic_json,
+        "empirical": empirical_json,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

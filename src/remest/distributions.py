@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+# Samples per block of the empirical CF.  A block's phase and rotation arrays
+# (128 KiB each) stay in cache while the whole grid recursion runs over them;
+# 8192 was the fastest of 1024 to 65536 on a 2-vCPU host.
+CF_BLOCK = 8192
+
+
 def _require_positive(name: str, value: float) -> None:
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -95,6 +101,10 @@ class GammaDist:
         return self.shape * self.scale**2
 
 
+# Exclusive upper bound of every RngHandle key entry (seed, stream, path).
+KEY_LIMIT = 2**32
+
+
 class RngHandle:
     """Deterministic random stream keyed by (seed, stream id, path).
 
@@ -103,19 +113,23 @@ class RngHandle:
     ``SeedSequence([seed, stream], spawn_key=path)``).  The path is a spawn
     key, not more entropy: ``SeedSequence`` zero-pads short entropy, so
     keying the path as entropy would give ``substream(0)`` the draws of its
-    parent and path ``(5,)`` the draws of ``(5, 0)``.  A handle is
-    single-owner: drawing advances its state.  Use :meth:`substream` to
-    derive independent child streams for parallel work.
+    parent and path ``(5,)`` the draws of ``(5, 0)``.  Each key entry must
+    lie in [0, 2^32): ``SeedSequence`` splits larger integers into 32-bit
+    words, so seed 2^32 would draw what ``(seed 0, stream 1)`` draws.  A
+    handle is single-owner: drawing advances its state.  Use
+    :meth:`substream` to derive independent child streams for parallel work.
     """
 
     def __init__(self, seed: int, stream: int = 0, _path: tuple[int, ...] = ()):
-        seed = int(seed)
-        stream = int(stream)
-        if seed < 0 or stream < 0 or any(i < 0 for i in _path):
-            raise ValueError("seed and stream ids must be non-negative integers")
-        self.seed = seed
-        self.stream = stream
+        self.seed = int(seed)
+        self.stream = int(stream)
         self.path = tuple(int(i) for i in _path)
+        ids = (self.seed, self.stream, *self.path)
+        if min(ids) < 0 or max(ids) >= KEY_LIMIT:
+            raise ValueError(
+                f"seed, stream and path ids must be integers in [0, 2^32), "
+                f"got seed={self.seed}, stream={self.stream}, path={self.path}"
+            )
         key = np.random.SeedSequence([self.seed, self.stream], spawn_key=self.path)
         self.generator = np.random.Generator(np.random.PCG64(key))
 
@@ -212,9 +226,18 @@ def empirical_char_fn(samples, omega):
     samples : array_like
         Non-empty collection of real draws.
     omega : float or array_like
-        Evaluation point(s).  Uniformly spaced grids use an incremental
-        phase-rotation recursion (one complex exp over the samples instead
-        of one per grid point), which keeps million-sample grids cheap.
+        Evaluation point(s), in any order.
+
+    The samples are cut into blocks of ``CF_BLOCK``; each block adds its
+    partial sums for every grid point, so the working set is a few blocks
+    (a few hundred KiB) whatever the sample count.  On a uniform grid a
+    block runs an incremental phase-rotation recursion (two complex exps
+    per sample instead of one per grid point); on any other grid, or a
+    scalar, it evaluates exp(j·w·x) point by point.  When a uniform grid is
+    symmetric about 0, only the half from the middle point on is computed
+    and the other half is its conjugate: phi(-w) = conj(phi(w)) for real
+    samples.  Uniformity and symmetry are judged to a relative 1e-12, far
+    below sampling noise, because linspace grids hold them only to the ulp.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
@@ -223,20 +246,31 @@ def empirical_char_fn(samples, omega):
     scalar = w.ndim == 0
     wv = np.atleast_1d(w)
 
-    out = np.empty(wv.size, dtype=np.complex128)
     steps = np.diff(wv)
-    # linspace steps agree only to the ulp, which is far below sampling noise
-    uniform = wv.size > 2 and bool(
-        np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)
-    )
+    uniform = wv.size > 2 and bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0.0))
+    symmetric = uniform and bool(np.allclose(
+        wv + wv[::-1], 0.0, rtol=0.0, atol=1e-12 * abs(wv[-1] - wv[0])
+    ))
+    half = wv.size // 2 if symmetric else 0
+    pts = wv[half:]
     if uniform:
-        cur = np.exp(1j * wv[0] * x)
-        rot = np.exp(1j * steps[0] * x)
-        for i in range(wv.size):
-            out[i] = cur.mean()
-            if i + 1 < wv.size:
-                cur *= rot
-    else:
-        for i, wi in enumerate(wv):
-            out[i] = complex(np.cos(wi * x).mean(), np.sin(wi * x).mean())
+        step = (pts[-1] - pts[0]) / (pts.size - 1)
+
+    sums = np.zeros(pts.size, dtype=np.complex128)
+    for lo in range(0, x.size, CF_BLOCK):
+        xb = x[lo:lo + CF_BLOCK]
+        if uniform:
+            cur = np.exp(1j * pts[0] * xb)
+            rot = np.exp(1j * step * xb)
+            for i in range(pts.size):
+                sums[i] += cur.sum()
+                if i + 1 < pts.size:
+                    cur *= rot
+        else:
+            for i, wi in enumerate(pts):
+                sums[i] += np.exp(1j * wi * xb).sum()
+
+    out = np.empty(wv.size, dtype=np.complex128)
+    out[half:] = sums / x.size
+    out[:half] = np.conj(out[::-1][:half])
     return complex(out[0]) if scalar else out

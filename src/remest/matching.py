@@ -8,6 +8,7 @@ empirical CFs built from samples, and reports per-point complex residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,7 +67,8 @@ class MatchSpec:
 class CfPoint:
     """Residual record at one grid point.  ``reliable`` is False where the
     noise CF modulus was zero (analytic check) or below the empirical floor,
-    in which case the residual is NaN and excluded from the maximum."""
+    in which case ``rhs`` and the residual are NaN and the residual is
+    excluded from the maximum."""
 
     omega: float
     lhs: complex
@@ -75,8 +77,15 @@ class CfPoint:
     reliable: bool = True
 
 
+def _json_float(value: float) -> float | None:
+    # JSON has no NaN; an unreliable value is written as null
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class CfResidualReport:
+    """Per-point residuals; ``max_residual`` is NaN when no point is reliable."""
+
     points: tuple[CfPoint, ...]
     max_residual: float
 
@@ -85,18 +94,20 @@ class CfResidualReport:
         return sum(not p.reliable for p in self.points)
 
     def to_json_dict(self) -> dict:
+        """Strict-JSON payload: every NaN (an unreliable point's ``rhs`` and
+        residual, or the maximum over no reliable point) becomes None."""
         return {
-            "max_residual": self.max_residual,
+            "max_residual": _json_float(self.max_residual),
             "n_points": len(self.points),
             "n_unreliable": self.n_unreliable,
             "points": [
                 {
                     "omega": p.omega,
-                    "lhs_re": p.lhs.real,
-                    "lhs_im": p.lhs.imag,
-                    "rhs_re": p.rhs.real,
-                    "rhs_im": p.rhs.imag,
-                    "residual": p.residual,
+                    "lhs_re": _json_float(p.lhs.real),
+                    "lhs_im": _json_float(p.lhs.imag),
+                    "rhs_re": _json_float(p.rhs.real),
+                    "rhs_im": _json_float(p.rhs.imag),
+                    "residual": _json_float(p.residual),
                     "reliable": p.reliable,
                 }
                 for p in self.points
@@ -189,8 +200,17 @@ def check_matching_empirical(
     Both sides use empirical CFs, so the residual floor is set by Monte
     Carlo error (roughly 1/sqrt(N) per point, amplified by the gamma-th
     power where the noise CF modulus is small).  Points with empirical
-    modulus below ``EMPIRICAL_MODULUS_FLOOR`` are marked unreliable and
-    excluded from the reported maximum.
+    modulus below ``EMPIRICAL_MODULUS_FLOOR`` are marked unreliable: their
+    power and residual are NaN (null in :meth:`CfResidualReport.to_json_dict`)
+    and they are excluded from the reported maximum, which is NaN when no
+    point is reliable.
+
+    Nearly all the time goes to :func:`empirical_char_fn`, once per side.
+    It streams the samples in blocks, so memory beyond the two sample
+    arrays stays at a few hundred KiB; on a grid symmetric about 0 (the
+    default, and any ``linspace(-a, a, n)``, also after scaling by alpha)
+    it computes only the half from the middle point on and takes the rest
+    as conjugates.
     """
     src = np.asarray(source_samples, dtype=np.float64).ravel()
     noi = np.asarray(noise_samples, dtype=np.float64).ravel()

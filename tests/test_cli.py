@@ -1,12 +1,21 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from remest.cli import MAX_JOBS, ConfigError, load_config, main
 
 REF_PARAMS = {"lambda": 1.0, "k": 2.0, "p_t": 1.0, "c": 1.0}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def reject_constant(token):
+    raise AssertionError(f"report is not strict JSON: {token}")
 
 
 def write_config(path, **fields):
@@ -123,10 +132,7 @@ class TestValidation:
         assert "transmissions" in capsys.readouterr().err
         # the report is still written: the cost check stands, and each
         # statistic that could not be estimated is a failed row with nulls
-        def reject(token):
-            raise AssertionError(f"report is not strict JSON: {token}")
-
-        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject_constant)
         assert report["passed"] is False
         rows = {r["metric"]: r for r in report["checks"]}
         assert list(rows) == ["per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg",
@@ -142,6 +148,29 @@ class TestValidation:
             assert row["estimate"] is None and row["std_error"] is None, name
             assert row["z"] is None and row["passed"] is False, name
             assert row["target"] is not None, name
+
+    @pytest.mark.parametrize("key", ["seed", "stream"])
+    def test_random_key_below_2_32(self, tmp_path, key):
+        # larger keys would alias smaller ones in the random streams
+        cfg = write_config(tmp_path / "cfg.json", **{key: 2**32})
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(cfg), "simulate", {})
+        write_config(cfg, **{key: 2**32 - 1})
+        assert load_config(str(cfg), "simulate", {})[key] == 2**32 - 1
+
+    def test_seed_flag_below_2_32(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=5)
+        assert main(["simulate", "--config", str(cfg), "--seed", str(2**32)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_module_entry_point_exits_2_on_bad_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(REF_PARAMS))  # no schema_version
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "remest", "simulate", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "schema_version" in done.stderr
 
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=5,
@@ -278,6 +307,27 @@ class TestVerifyMatching:
         for row, point in zip(rows[1:], points):
             assert float(row[-1]) == point["residual"]
             assert row[-1] == repr(point["residual"])
+
+
+    def test_unreliable_points_are_null(self, tmp_path):
+        # at |omega| near 50 the noise CF modulus is below the empirical floor
+        out, out_csv = tmp_path / "match.json", tmp_path / "match.csv"
+        cfg = write_config(tmp_path / "cfg.json", omega_min=-50, omega_max=50,
+                           samples=100_000, out=str(out))
+        # the verdict is not the subject here: the report must be written either way
+        assert main(["verify-matching", "--config", str(cfg)]) in (0, 1)
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        empirical = report["empirical"]
+        unreliable = [p for p in empirical["points"] if not p["reliable"]]
+        assert len(unreliable) == empirical["n_unreliable"] > 0
+        for point in unreliable:
+            assert point["residual"] is None and point["rhs_re"] is None, point
+            assert point["rhs_im"] is None, point
+        assert isinstance(empirical["max_residual"], float)
+        assert main(["verify-matching", "--config", str(cfg), "--format", "csv",
+                     "--out", str(out_csv)]) in (0, 1)
+        rows = [r for r in csv.reader(out_csv.open()) if r[0] == "empirical"]
+        assert sum(r[-1] == "" for r in rows) == len(unreliable)
 
 
 class TestSweep:

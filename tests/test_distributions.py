@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from remest.distributions import (
+    CF_BLOCK,
     ExponentialDist,
     GammaDist,
     LaplaceDist,
@@ -43,6 +46,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             RngHandle(3, -2)
 
+    def test_rng_rejects_ids_from_2_32(self):
+        # SeedSequence splits larger integers into 32-bit words, so these
+        # keys would repeat the draws of (seed 0, stream 1) and path (0, 1)
+        with pytest.raises(ValueError, match="2\\^32"):
+            RngHandle(2**32)
+        with pytest.raises(ValueError, match="2\\^32"):
+            RngHandle(0, 2**32)
+        with pytest.raises(ValueError, match="2\\^32"):
+            RngHandle(0).substream(2**32)
+
 
 class TestRngHandle:
     def test_same_key_is_bitwise_identical(self):
@@ -78,6 +91,13 @@ class TestRngHandle:
         ss = np.random.SeedSequence([7, 3])
         expected = np.random.Generator(np.random.PCG64(ss)).random(8)
         assert np.array_equal(RngHandle(7, 3).generator.random(8), expected)
+
+    def test_largest_ids_keep_their_draws(self):
+        top = 2**32 - 1
+        expected = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([top, top], spawn_key=(top,)))
+        ).random(8)
+        assert np.array_equal(RngHandle(top, top).substream(top).generator.random(8), expected)
 
     def test_scalar_draws_match_prefix_cost(self):
         x = sample_laplace(LaplaceDist(0.0, 2.0), RngHandle(5))
@@ -269,3 +289,74 @@ class TestEmpiricalCharFn:
         grid = np.linspace(-5.0, 5.0, 51)
         gap = np.abs(empirical_char_fn(x, grid) - char_fn(dist, grid))
         assert gap.max() <= 5.0 / np.sqrt(N)
+
+
+def _direct_cf(x, omega):
+    """Reference: the cos and sin means at each point, one point at a time."""
+    return np.array([complex(np.cos(w * x).mean(), np.sin(w * x).mean())
+                     for w in np.atleast_1d(omega)])
+
+
+class TestBlockedCharFn:
+    """The blocked kernel against direct cos/sin means, on a sample count
+    spanning three whole blocks and a ragged tail."""
+
+    N = 3 * CF_BLOCK + 17
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        return sample_laplace(LaplaceDist(0.3, 1.0), RngHandle(12), size=self.N)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(-5.0, 5.0, 101),
+            np.linspace(-5.0, 5.0, 100),
+            np.linspace(-2.0, 7.0, 40),
+            np.linspace(5.0, -5.0, 101),
+            np.array([-3.0, -0.2, 0.0, 0.7, 1.1, 4.0]),
+            np.float64(1.7),
+        ],
+        ids=["odd-symmetric", "even-symmetric", "asymmetric", "descending",
+             "non-uniform", "scalar"],
+    )
+    def test_matches_direct_means(self, x, grid):
+        got = empirical_char_fn(x, grid)
+        np.testing.assert_allclose(np.atleast_1d(got), _direct_cf(x, grid), rtol=0, atol=1e-12)
+        assert isinstance(got, complex) == (np.ndim(grid) == 0)
+
+    @pytest.mark.parametrize("size", [101, 100])
+    def test_symmetric_grid_halves_are_conjugates(self, x, size):
+        out = empirical_char_fn(x, np.linspace(-5.0, 5.0, size))
+        half = size // 2
+        np.testing.assert_array_equal(out[:half], np.conj(out[::-1][:half]))
+
+
+class TestCharFnBoundedMemory:
+    """The traced peak of ``empirical_char_fn`` beyond its input is a few
+    blocks, not a multiple of the sample count."""
+
+    SLACK = 2 * CF_BLOCK * 16  # bytes: two complex blocks
+
+    @staticmethod
+    def _peak(x, grid) -> int:
+        empirical_char_fn(x[:CF_BLOCK], grid)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            empirical_char_fn(x, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.linspace(-5.0, 5.0, 101), np.linspace(-2.0, 7.0, 40), np.geomspace(0.1, 5.0, 7)],
+        ids=["symmetric", "asymmetric", "non-uniform"],
+    )
+    def test_peak_does_not_grow_with_samples(self, grid):
+        x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(13), size=2**20)
+        small = self._peak(x[:2**16], grid)
+        large = self._peak(x, grid)
+        assert large <= small + self.SLACK, (small, large)
+        # and far below one complex column of the samples
+        assert large < x.size * 16 // 4, large

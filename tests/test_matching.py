@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,19 @@ class TestEmpiricalMatching:
         noise = sample_gamma(GammaDist(2.0, 1.0), rng, size=10**5)
         report = check_matching_empirical(src, noise, 1.0, 1.0)
         assert report.max_residual > 0.05
+
+    def test_no_reliable_point_gives_null_maximum(self):
+        # noise on {0, pi} in equal parts: its CF (1 + exp(j·pi·w))/2 vanishes at w = +-1
+        noise = np.tile([0.0, np.pi], 5_000)
+        report = check_matching_empirical(np.zeros(10_000), noise, 1.0, 0.5, (-1.0, 1.0))
+        assert report.n_unreliable == 2
+        assert np.isnan(report.max_residual)
+        payload = report.to_json_dict()
+        assert payload["max_residual"] is None
+        for point in payload["points"]:
+            assert point["residual"] is None and point["rhs_re"] is None, point
+            assert point["lhs_re"] == 1.0
+        json.dumps(payload, allow_nan=False)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
