@@ -39,7 +39,8 @@ EMPIRICAL_RESIDUAL_TOL = 0.02
 UNMATCHED_ANALYTIC_MIN = 0.1
 UNMATCHED_EMPIRICAL_MIN = 0.05
 ARGMIN_AGREEMENT_TOL = 1e-6
-# each job is one worker thread; the cap keeps a config from asking for thousands
+# `jobs` starts no thread (the simulator runs its blocks serially); the cap
+# keeps the accepted range small should it start workers again
 MAX_JOBS = 64
 
 

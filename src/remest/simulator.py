@@ -142,20 +142,22 @@ class EpisodeTrace:
     def write_jsonl(self, file) -> None:
         """One JSON object per stage; silent stages carry null ``y``, ``y_tilde`` and ``s``."""
         def _write(fh):
-            for i in range(self.horizon):
-                on = bool(self.u[i])
-                fh.write(json.dumps({
-                    "t": i + 1,
-                    "x": float(self.x[i]),
-                    "u": int(self.u[i]),
-                    "y": float(self.y[i]) if on else None,
-                    "v": float(self.v[i]),
-                    "y_tilde": float(self.y_tilde[i]) if on else None,
-                    "s": int(self.s[i]) if on else None,
-                    "x_hat": float(self.x_hat[i]),
-                    "stage_cost": float(self.stage_cost[i]),
-                }, sort_keys=True))
-                fh.write("\n")
+            encode = json.JSONEncoder(sort_keys=True).encode
+            cols = (self.x, self.u, self.y, self.v, self.y_tilde, self.s, self.x_hat,
+                    self.stage_cost)
+            rows = zip(*(col.tolist() for col in cols))
+            for t, (x, u, y, v, y_tilde, s, x_hat, cost) in enumerate(rows, 1):
+                fh.write(encode({
+                    "t": t,
+                    "x": x,
+                    "u": int(u),
+                    "y": y if u else None,
+                    "v": v,
+                    "y_tilde": y_tilde if u else None,
+                    "s": s if u else None,
+                    "x_hat": x_hat,
+                    "stage_cost": cost,
+                }) + "\n")
 
         if hasattr(file, "write"):
             _write(file)
@@ -166,8 +168,10 @@ class EpisodeTrace:
 
 class _Block(NamedTuple):
     """Episodes ``r0:r1``, stages ``c0+1..c1`` of each, after the policy ran:
-    (rows, stages) arrays ``x``, ``v``, ``u`` and ``x_hat``, and the payload
-    ``y_on`` and sign ``s_on`` of the transmitting entries in row-major order."""
+    (rows, stages) arrays ``x``, ``v`` and ``u``; the flat row-major indices
+    ``on`` of the transmitting entries and their source ``x_on``, noise
+    ``v_on``, payload ``y_on``, sign ``s_on`` and estimate ``xhat_on``.
+    Every other entry is estimated as ``silent``."""
 
     r0: int
     r1: int
@@ -176,9 +180,13 @@ class _Block(NamedTuple):
     x: np.ndarray
     v: np.ndarray
     u: np.ndarray
-    x_hat: np.ndarray
+    on: np.ndarray
+    x_on: np.ndarray
+    v_on: np.ndarray
     y_on: np.ndarray
     s_on: np.ndarray
+    xhat_on: np.ndarray
+    silent: float
 
 
 def _layout(horizon: int, n_episodes: int):
@@ -207,6 +215,7 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     source = LaplaceDist(0.0, 1.0 / p.lam)
     noise = GammaDist(p.k, p.theta)
+    silent = float(strat.silent_estimate())
 
     # one call per block, so a block's arrays are freed before the next is drawn
     def block(i, r0, r1, c0, c1):
@@ -214,28 +223,29 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
         shape = (r1 - r0, c1 - c0)
         x = sample_laplace(source, sub, size=shape[0] * shape[1]).reshape(shape)
         v = sample_gamma(noise, sub, size=x.size).reshape(shape)
-        t = np.arange(c0 + 1, c1 + 1)
-        u = np.asarray(strat.transmit(t, x), dtype=bool)
-        x_hat = np.full(shape, float(strat.silent_estimate()))
-        y_on = np.empty(0)
+        u = np.asarray(strat.transmit(np.arange(c0 + 1, c1 + 1), x), dtype=bool)
+        # the policy runs on the transmit set only, gathered once
+        on = np.flatnonzero(u)
+        x_on, v_on = x.take(on), v.take(on)
+        y_on = xhat_on = np.empty(0)
         s_on = np.empty(0, dtype=np.int8)
-        if u.any():
-            t_on = np.broadcast_to(t, shape)[u]
-            x_on = x[u]
+        if on.size:
+            t_on = on % shape[1] + (c0 + 1)
             y_on = np.asarray(strat.encode(t_on, x_on), dtype=np.float64)
             s_on = payload_sign(x_on).astype(np.int8)
-            x_hat[u] = strat.decode(t_on, y_on + v[u], s_on)
-        return reduce(_Block(r0, r1, c0, c1, x, v, u, x_hat, y_on, s_on))
+            xhat_on = np.asarray(strat.decode(t_on, y_on + v_on, s_on), dtype=np.float64)
+        return reduce(_Block(r0, r1, c0, c1, x, v, u, on, x_on, v_on, y_on, s_on,
+                             xhat_on, silent))
 
     for i, bounds in enumerate(_layout(horizon, int(n_episodes))):
         yield block(i, *bounds)
 
 
 def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
-    """c·u + (x - x_hat)², computed in (and overwriting) ``b.x_hat``."""
-    cost = np.subtract(b.x, b.x_hat, out=b.x_hat)
-    np.square(cost, out=cost)
-    return np.add(cost, p.c, out=cost, where=b.u)
+    """c·u + (x - x_hat)² of every entry of the block, in a new array."""
+    cost = np.square(b.x - b.silent)
+    np.put(cost, b.on, np.square(b.x_on - b.xhat_on) + p.c)
+    return cost
 
 
 def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) -> EpisodeTrace:
@@ -258,10 +268,11 @@ def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) 
 
     def record(b: _Block) -> None:
         cols = slice(b.c0, b.c1)
-        x[cols], v[cols], u[cols], x_hat[cols] = b.x[0], b.v[0], b.u[0], b.x_hat[0]
-        on = np.flatnonzero(b.u[0]) + b.c0
+        x[cols], v[cols], u[cols], x_hat[cols] = b.x[0], b.v[0], b.u[0], b.silent
+        on = b.on + b.c0  # one row: flat indices are stage offsets
+        x_hat[on] = b.xhat_on
         y[on] = b.y_on
-        y_tilde[on] = b.y_on + b.v[b.u]
+        y_tilde[on] = b.y_on + b.v_on
         s[on] = b.s_on
         stage_cost[cols] = _stage_cost(p, b)[0]
 
@@ -351,12 +362,11 @@ def estimate_conditional_stats(
     transmissions; those statistics are then None and ``problem`` says why.
     """
     def moments(b: _Block):
-        on = b.u
-        err = b.x_hat[on] - b.x[on]
+        err = b.xhat_on - b.x_on
         sq = np.square(err)
         pos = b.s_on == 1
         return (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
-                Moments.of(np.square(b.y_on)), Moments.of(on), Moments.of(err))
+                Moments.of(np.square(b.y_on)), Moments.of(b.u), Moments.of(err))
 
     acc = (Moments(),) * 6
     for part in _simulate(p, strat, horizon, 1, rng, moments):
@@ -422,13 +432,16 @@ def stationarity_check(
     means = np.concatenate([pieces[c0].mean for c0 in sorted(pieces)])
     m2 = np.concatenate([pieces[c0].m2 for c0 in sorted(pieces)])
     ses = np.sqrt(m2 / (n_episodes - 1)) / np.sqrt(n_episodes)
-    if horizon == 1:
-        max_z = 0.0
-    else:
-        gap = np.abs(means[:, None] - means[None, :])
-        joint = np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
-        iu = np.triu_indices(horizon, k=1)
-        max_z = float(np.max(gap[iu] / joint[iu]))
+    # the pairs i < j, a block of rows at a time (about 0.5 MiB per array)
+    max_z = 0.0 if horizon == 1 else -np.inf
+    rows = max(1, (1 << 16) // horizon)
+    for a in range(0, horizon - 1, rows):
+        i = np.arange(a, min(a + rows, horizon - 1))[:, None]
+        j = np.arange(a + 1, horizon)[None, :]
+        gap = np.abs(means[i] - means[j])
+        joint = np.sqrt(ses[i] ** 2 + ses[j] ** 2)
+        max_z = np.maximum(max_z, np.max(gap / joint, where=j > i, initial=-np.inf))
+    max_z = float(max_z)
     estimates = tuple(
         MonteCarloEstimate(mean=float(means[i]), std_error=float(ses[i]), n=n_episodes)
         for i in range(horizon)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from remest.analytics import cost_closed_form, optimal_threshold
-from remest.distributions import LaplaceDist, RngHandle, sample_laplace
+from remest.distributions import (
+    GammaDist,
+    LaplaceDist,
+    RngHandle,
+    sample_gamma,
+    sample_laplace,
+)
 from remest.simulator import (
     CHUNK_STAGES,
     Moments,
@@ -17,7 +23,12 @@ from remest.simulator import (
     run_episode,
     stationarity_check,
 )
-from remest.strategies import NeverTransmitStrategy, SystemParams, ThresholdAffineStrategy
+from remest.strategies import (
+    NeverTransmitStrategy,
+    SystemParams,
+    ThresholdAffineStrategy,
+    payload_sign,
+)
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -193,9 +204,10 @@ class TestEstimateCost:
         assert at_star.mean < above.mean
 
     def test_parallel_equals_serial(self):
-        serial = estimate_cost(REF, OPTIMAL, 1_000, 40, RngHandle(2025, 3), jobs=1)
-        threaded = estimate_cost(REF, OPTIMAL, 1_000, 40, RngHandle(2025, 3), jobs=4)
-        assert serial == threaded
+        """``jobs`` leaves the estimate unchanged: blocks always run serially."""
+        one = estimate_cost(REF, OPTIMAL, 1_000, 40, RngHandle(2025, 3), jobs=1)
+        four = estimate_cost(REF, OPTIMAL, 1_000, 40, RngHandle(2025, 3), jobs=4)
+        assert one == four
 
     @pytest.mark.parametrize("horizon", [CHUNK_STAGES // 3, 2 * CHUNK_STAGES + 17])
     def test_jobs_do_not_change_the_estimate(self, horizon):
@@ -311,6 +323,31 @@ class TestStationarity:
         assert payload["passed"] == report.passed
         assert len(payload["stage_means"]) == 3
 
+    @pytest.mark.parametrize("horizon", [10, 600])
+    def test_max_z_equals_full_pairwise_formula(self, horizon):
+        # 600 stages take several row blocks of the pairwise scan
+        report = stationarity_check(REF, OPTIMAL, horizon, 50, RngHandle(2025, 16))
+        means = np.array([e.mean for e in report.stage_means])
+        ses = np.array([e.std_error for e in report.stage_means])
+        gap = np.abs(means[:, None] - means[None, :])
+        joint = np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
+        iu = np.triu_indices(horizon, k=1)
+        assert report.max_pairwise_z == float(np.max(gap[iu] / joint[iu]))
+
+    def test_pairwise_scan_memory_is_linear_in_horizon(self):
+        # an H x H array of pairs would be 30 MiB at H=2000
+        def run():
+            return stationarity_check(REF, OPTIMAL, 2_000, 50, RngHandle(2025, 17))
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
 
 class TestTraceExport:
     def test_jsonl_roundtrip(self, tmp_path):
@@ -370,3 +407,128 @@ class TestBoundedMemory:
         assert large <= small + self.SLACK, (small, large)
         # and far below the 2^20 * 8 bytes of a single float column
         assert large < 2**20
+
+
+def _reference_blocks(p, strat, horizon, n_episodes, rng):
+    """The kernel written plainly: a full ``x_hat`` per block and boolean
+    masks.  Yields (r0, r1, c0, x, v, u, x_hat, y_on, s_on, stage cost)."""
+    if horizon <= CHUNK_STAGES:
+        rows = CHUNK_STAGES // horizon
+        bounds = [(r0, min(r0 + rows, n_episodes), 0, horizon)
+                  for r0 in range(0, n_episodes, rows)]
+    else:
+        bounds = [(r, r + 1, c0, min(c0 + CHUNK_STAGES, horizon))
+                  for r in range(n_episodes) for c0 in range(0, horizon, CHUNK_STAGES)]
+    source, noise = LaplaceDist(0.0, 1.0 / p.lam), GammaDist(p.k, p.theta)
+    for i, (r0, r1, c0, c1) in enumerate(bounds):
+        sub = rng.substream(i)
+        shape = (r1 - r0, c1 - c0)
+        x = sample_laplace(source, sub, size=shape[0] * shape[1]).reshape(shape)
+        v = sample_gamma(noise, sub, size=x.size).reshape(shape)
+        t = np.arange(c0 + 1, c1 + 1)
+        u = np.asarray(strat.transmit(t, x), dtype=bool)
+        x_hat = np.full(shape, float(strat.silent_estimate()))
+        y_on, s_on = np.empty(0), np.empty(0, dtype=np.int8)
+        if u.any():
+            t_on = np.broadcast_to(t, shape)[u]
+            y_on = np.asarray(strat.encode(t_on, x[u]), dtype=np.float64)
+            s_on = payload_sign(x[u]).astype(np.int8)
+            x_hat[u] = strat.decode(t_on, y_on + v[u], s_on)
+        cost = np.square(x - x_hat)
+        np.add(cost, p.c, out=cost, where=u)
+        yield r0, r1, c0, x, v, u, x_hat, y_on, s_on, cost
+
+
+class TestTransmitSetKernel:
+    """The kernel runs the policy on the transmit set only; every estimator
+    and every trace column equals, bit for bit, what the plain full-array
+    kernel gives on the same draws."""
+
+    CASES = {
+        "optimal": OPTIMAL,
+        "beta-0": ThresholdAffineStrategy(REF, 0.0),
+        "noise-blind": ThresholdAffineStrategy(REF, BETA_STAR, matched=False),
+        "never": NeverTransmitStrategy(REF),
+        "switched": ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=50),
+    }
+
+    @pytest.fixture(params=[(name, 100, 90) for name in CASES]
+                    + [("switched", CHUNK_STAGES + 17, 3)],
+                    ids=lambda case: f"{case[0]}-{case[1]}")
+    def case(self, request):
+        # horizon 100 packs 40 episodes per block; CHUNK_STAGES + 17 cuts
+        # each episode into two column pieces
+        name, horizon, episodes = request.param
+        return self.CASES[name], horizon, episodes
+
+    def test_estimate_cost(self, case):
+        strat, horizon, episodes = case
+        totals = np.zeros(episodes)
+        for r0, r1, *_, cost in _reference_blocks(REF, strat, horizon, episodes, RngHandle(31)):
+            totals[r0:r1] += cost.sum(axis=1)
+        want = MonteCarloEstimate.from_samples(totals / horizon)
+        assert estimate_cost(REF, strat, horizon, episodes, RngHandle(31)) == want
+
+    def test_stationarity_check(self, case):
+        strat, horizon, episodes = case
+        pieces = {}
+        for _, _, c0, *_, cost in _reference_blocks(REF, strat, horizon, episodes, RngHandle(32)):
+            pieces[c0] = pieces.get(c0, Moments()).merge(Moments.of(cost, axis=0))
+        means = np.concatenate([pieces[c0].mean for c0 in sorted(pieces)])
+        m2 = np.concatenate([pieces[c0].m2 for c0 in sorted(pieces)])
+        ses = np.sqrt(m2 / (episodes - 1)) / np.sqrt(episodes)
+        max_z = max(
+            float(np.max(np.abs(means[i:i + 1] - means[i + 1:])
+                         / np.sqrt(ses[i:i + 1] ** 2 + ses[i + 1:] ** 2)))
+            for i in range(horizon - 1)
+        )
+        report = stationarity_check(REF, strat, horizon, episodes, RngHandle(32))
+        assert report.max_pairwise_z == max_z
+        assert report.stage_means == tuple(
+            MonteCarloEstimate(mean=float(m), std_error=float(se), n=episodes)
+            for m, se in zip(means, ses)
+        )
+
+    def test_estimate_conditional_stats(self, case):
+        strat, horizon, episodes = case
+        stages = horizon * episodes
+        acc = (Moments(),) * 6
+        for _, _, _, x, v, u, x_hat, y_on, s_on, _ in _reference_blocks(
+                REF, strat, stages, 1, RngHandle(33)):
+            err = x_hat[u] - x[u]
+            sq = np.square(err)
+            pos = s_on == 1
+            part = (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
+                    Moments.of(np.square(y_on)), Moments.of(u), Moments.of(err))
+            acc = tuple(a.merge(b) for a, b in zip(acc, part))
+        stats = estimate_conditional_stats(REF, strat, stages, RngHandle(33))
+        assert stats.n_transmissions == acc[0].n
+        assert stats.tx_frequency == acc[4].estimate()
+        names = ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "tx_frequency", "bias_tx")
+        for name, moments in zip(names, acc):
+            got = getattr(stats, name)
+            assert got is None or got == moments.estimate(), name
+
+    def test_run_episode_columns(self, case):
+        strat, horizon, episodes = case
+        stages = horizon * episodes
+        want = {"x": np.empty(stages), "v": np.empty(stages), "u": np.empty(stages, dtype=bool),
+                "x_hat": np.empty(stages), "stage_cost": np.empty(stages),
+                "y": np.full(stages, np.nan), "y_tilde": np.full(stages, np.nan),
+                "s": np.zeros(stages, dtype=np.int8)}
+        for _, _, c0, x, v, u, x_hat, y_on, s_on, cost in _reference_blocks(
+                REF, strat, stages, 1, RngHandle(34)):
+            cols = slice(c0, c0 + x.shape[1])
+            for name, block in (("x", x), ("v", v), ("u", u), ("x_hat", x_hat),
+                                ("stage_cost", cost)):
+                want[name][cols] = block[0]
+            on = np.flatnonzero(u[0]) + c0
+            want["y"][on] = y_on
+            want["y_tilde"][on] = y_on + v[u]
+            want["s"][on] = s_on
+        tr = run_episode(REF, strat, stages, RngHandle(34))
+        for name, column in want.items():
+            got = getattr(tr, name)
+            assert got.dtype == column.dtype, name
+            assert np.array_equal(got, column, equal_nan=True), name
+        assert tr.total_cost == float(want["stage_cost"].sum())
