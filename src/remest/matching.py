@@ -207,10 +207,11 @@ def check_matching_empirical(
 
     Nearly all the time goes to :func:`empirical_char_fn`, once per side.
     It streams the samples in blocks, so memory beyond the two sample
-    arrays stays at a few hundred KiB; on a grid symmetric about 0 (the
-    default, and any ``linspace(-a, a, n)``, also after scaling by alpha)
-    it computes only the half from the middle point on and takes the rest
-    as conjugates.
+    arrays stays at a few hundred KiB; on a uniform grid each block sums
+    all points with one complex matrix product of baby and giant phase
+    rotations, and on a grid symmetric about 0 (the default, and any
+    ``linspace(-a, a, n)``, also after scaling by alpha) it computes only
+    the half from the middle point on and takes the rest as conjugates.
     """
     src = np.asarray(source_samples, dtype=np.float64).ravel()
     noi = np.asarray(noise_samples, dtype=np.float64).ravel()

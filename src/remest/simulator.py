@@ -86,10 +86,12 @@ class Moments:
         n = arr.size if axis is None else arr.shape[axis]
         if n == 0:
             return cls()
-        mean = arr.mean(axis=axis)
+        # np.add.reduce is the pairwise sum behind mean() and sum(), without
+        # their wrappers' per-call cost; the values are the same bits
+        mean = np.add.reduce(arr, axis=axis) / n
         dev = arr - (mean if axis is None else np.expand_dims(mean, axis))
         np.square(dev, out=dev)
-        return cls(n, mean, dev.sum(axis=axis))
+        return cls(n, mean, np.add.reduce(dev, axis=axis))
 
     def merge(self, other: "Moments") -> "Moments":
         if other.n == 0:

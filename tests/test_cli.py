@@ -217,6 +217,25 @@ class TestDeterminism:
         assert r2["config"]["seed"] == 11
         assert r1["checks"] != r2["checks"]
 
+    def test_verify_matching_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the empirical CF sums each block with a complex matrix product
+        cfg = write_config(tmp_path / "cfg.json", samples=50_000, seed=7)
+        reports = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = str(SRC)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "remest", "verify-matching", "--config", str(cfg),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert done.returncode in (0, 1), done.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_config_roundtrip_reproduces_report(self, tmp_path):
         out = tmp_path / "report.json"
         cfg = write_config(tmp_path / "cfg.json", horizon=500, episodes=8,

@@ -316,9 +316,17 @@ class TestBlockedCharFn:
             np.linspace(5.0, -5.0, 101),
             np.array([-3.0, -0.2, 0.0, 0.7, 1.1, 4.0]),
             np.float64(1.7),
+            np.linspace(-50.0, 50.0, 101),
+            np.linspace(-1.0, 2.0, 2),
+            np.linspace(-1.0, 1.0, 3),
+            np.linspace(0.5, 2.5, 3),
+            np.linspace(-1.5, 1.5, 9),
+            np.linspace(-5.0, 5.0, 201),
+            np.linspace(-2.0, 7.0, 150),
         ],
         ids=["odd-symmetric", "even-symmetric", "asymmetric", "descending",
-             "non-uniform", "scalar"],
+             "non-uniform", "scalar", "wide", "two-point", "three-point-symmetric",
+             "three-point", "short-half", "giant-groups-symmetric", "giant-groups"],
     )
     def test_matches_direct_means(self, x, grid):
         got = empirical_char_fn(x, grid)
@@ -360,3 +368,11 @@ class TestCharFnBoundedMemory:
         assert large <= small + self.SLACK, (small, large)
         # and far below one complex column of the samples
         assert large < x.size * 16 // 4, large
+
+    def test_peak_does_not_grow_with_grid_beyond_the_result(self):
+        x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(13), size=2**16)
+        narrow, wide = np.linspace(-5.0, 5.0, 101), np.linspace(-5.0, 5.0, 10_001)
+        result_growth = (wide.size - narrow.size) * 16  # bytes of the larger complex result
+        small = self._peak(x, narrow)
+        large = self._peak(x, wide)
+        assert large <= small + result_growth + self.SLACK, (small, large)
