@@ -14,6 +14,8 @@ import csv
 import json
 import math
 import sys
+from dataclasses import astuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,91 +50,107 @@ class ConfigError(ValueError):
     pass
 
 
-_COMMON_KEYS = {
-    "schema_version", "lambda", "k", "p_t", "c", "seed", "stream", "format", "out",
-}
-_COMMAND_KEYS = {
-    "simulate": _COMMON_KEYS | {"strategy", "beta", "horizon", "episodes", "jobs"},
-    "optimize": _COMMON_KEYS | {
-        "horizon", "episodes", "jobs", "argmin_lo", "argmin_hi", "argmin_tol",
-    },
-    "verify-matching": _COMMON_KEYS | {
-        "pair", "samples", "omega_min", "omega_max", "omega_points",
-    },
-    "sweep": _COMMON_KEYS | {
-        "lambda_grid", "k_grid", "p_t_grid", "c_grid", "argmin_tol",
-        "spot_check", "spot_horizon", "spot_episodes",
-    },
-}
-
-_DEFAULTS = {
-    "seed": 0,
-    "stream": 0,
-    "format": "json",
-    "out": None,
-    "strategy": "optimal",
-    "beta": None,
-    "horizon": 10_000,
-    "episodes": 100,
-    "jobs": 1,
-    "argmin_lo": 0.0,
-    "argmin_hi": 10.0,
-    "argmin_tol": 1e-8,
-    "pair": "matched",
-    "samples": 1_000_000,
-    "omega_min": -5.0,
-    "omega_max": 5.0,
-    "omega_points": 101,
-    "lambda_grid": list(analytics.SWEEP_LAMBDAS),
-    "k_grid": list(analytics.SWEEP_SHAPES),
-    "p_t_grid": list(analytics.SWEEP_POWERS),
-    "c_grid": list(analytics.SWEEP_COSTS),
-    "spot_check": False,
-    "spot_horizon": 2_000,
-    "spot_episodes": 10,
-}
-
-_STRATEGY_NAMES = ("optimal", "threshold", "always", "never", "noise_blind")
+def _fail(key: str, expected: str, value) -> None:
+    raise ConfigError(f"config field '{key}' must be {expected}, got {value!r}")
 
 
-def _positive_float(cfg: dict, key: str) -> float:
-    if key not in cfg:
-        raise ConfigError(f"missing required config field '{key}'")
-    value = cfg[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config field '{key}' must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigError(f"config field '{key}' must be positive and finite, got {value!r}")
+def _number(minimum: float = -math.inf, above: bool = False):
+    """Parser of a finite number, as a float, ``>= minimum`` (``>`` when ``above``)."""
+    bound = f" {'>' if above else '>='} {minimum:g}" if minimum > -math.inf else ""
+
+    def parse(key: str, value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value) or (value <= minimum if above else value < minimum):
+            _fail(key, "a finite number" + bound, value)
+        return float(value)
+    return parse
+
+
+def _integer(minimum: int, maximum: int | None = None):
+    """Parser of an integer in ``[minimum, maximum]``."""
+    def parse(key: str, value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(key, "an integer", value)
+        if value < minimum or (maximum is not None and value > maximum):
+            _fail(key, f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]", value)
+        return value
+    return parse
+
+
+def _choice(*options):
+    """Parser of one of ``options``, compared by type and value (1 is not true)."""
+    def parse(key: str, value):
+        if not any(type(value) is type(option) and value == option for option in options):
+            _fail(key, "one of " + ", ".join(json.dumps(option) for option in options), value)
+        return value
+    return parse
+
+
+def _path(key: str, value) -> str:
+    if not isinstance(value, str):
+        _fail(key, "a string path", value)
     return value
 
 
-def _int_at_least(cfg: dict, key: str, minimum: int) -> int:
-    value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"config field '{key}' must be >= {minimum}, got {value}")
-    return value
+_positive = _number(0.0, above=True)
 
 
-def _grid(cfg: dict, key: str) -> list[float]:
-    value = cfg[key]
+def _grid(key: str, value) -> list[float]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"config field '{key}' must be a non-empty list of numbers")
-    out = []
-    for item in value:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise ConfigError(f"config field '{key}' must contain only numbers, got {item!r}")
-        item = float(item)
-        if not math.isfinite(item) or item <= 0.0:
-            raise ConfigError(f"config field '{key}' entries must be positive, got {item!r}")
-        out.append(item)
-    return out
+        _fail(key, "a non-empty list of numbers", value)
+    return [_positive(key, item) for item in value]
+
+
+class Field(NamedTuple):
+    commands: str  # the commands that take the key, separated by spaces
+    default: object  # REQUIRED when the config must give the key
+    parse: Callable | None  # (key, value) -> value; raises ConfigError
+
+
+REQUIRED = object()
+ALL = "simulate optimize verify-matching sweep"
+_random_key = _integer(0, KEY_LIMIT - 1)
+
+# Every config key, in the order its value is validated. A value of None is
+# kept without parsing where the default is None; `schema_version` is checked
+# before all others and echoed as given.
+CONFIG_FIELDS = {
+    "schema_version": Field(ALL, REQUIRED, None),
+    "lambda": Field(ALL, REQUIRED, _positive),
+    "k": Field(ALL, REQUIRED, _positive),
+    "p_t": Field(ALL, REQUIRED, _positive),
+    "c": Field(ALL, REQUIRED, _positive),
+    "seed": Field(ALL, 0, _random_key),
+    "stream": Field(ALL, 0, _random_key),
+    "format": Field(ALL, "json", _choice("json", "csv")),
+    "out": Field(ALL, None, _path),
+    "horizon": Field("simulate optimize", 10_000, _integer(1)),
+    "episodes": Field("simulate optimize", 100, _integer(2)),
+    "jobs": Field("simulate optimize", 1, _integer(1, MAX_JOBS)),
+    "strategy": Field("simulate", "optimal",
+                      _choice("optimal", "threshold", "always", "never", "noise_blind")),
+    "beta": Field("simulate", None, _number(0.0)),
+    "argmin_lo": Field("optimize", 0.0, _number(0.0)),
+    "argmin_hi": Field("optimize", 10.0, _number()),
+    "pair": Field("verify-matching", "matched", _choice("matched", "unmatched")),
+    "samples": Field("verify-matching", 1_000_000, _integer(10_000)),
+    "omega_points": Field("verify-matching", 101, _integer(2)),
+    "omega_min": Field("verify-matching", -5.0, _number()),
+    "omega_max": Field("verify-matching", 5.0, _number()),
+    "lambda_grid": Field("sweep", list(analytics.SWEEP_LAMBDAS), _grid),
+    "k_grid": Field("sweep", list(analytics.SWEEP_SHAPES), _grid),
+    "p_t_grid": Field("sweep", list(analytics.SWEEP_POWERS), _grid),
+    "c_grid": Field("sweep", list(analytics.SWEEP_COSTS), _grid),
+    "argmin_tol": Field("optimize sweep", 1e-8, _positive),
+    "spot_check": Field("sweep", False, _choice(False, True)),
+    "spot_horizon": Field("sweep", 2_000, _integer(1)),
+    "spot_episodes": Field("sweep", 10, _integer(2)),
+}
 
 
 def load_config(path: str, command: str, overrides: dict) -> dict:
-    """Read, default, and validate the flat JSON config for ``command``."""
+    """Read the flat JSON config for ``command``, fill its defaults, apply the
+    ``overrides`` that are not None, and validate it against CONFIG_FIELDS."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -143,91 +161,45 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    allowed = _COMMAND_KEYS[command]
-    unknown = sorted(set(raw) - allowed)
+    fields = {key: f for key, f in CONFIG_FIELDS.items() if command in f.commands.split()}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise ConfigError(
-            f"unknown config field(s) for {command}: {', '.join(unknown)}"
-        )
+        raise ConfigError(f"unknown config field(s) for {command}: {', '.join(unknown)}")
     if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config field 'schema_version' must be {SCHEMA_VERSION}, "
-            f"got {raw.get('schema_version')!r}"
-        )
+        _fail("schema_version", str(SCHEMA_VERSION), raw.get("schema_version"))
 
-    cfg = {key: _DEFAULTS[key] for key in allowed if key in _DEFAULTS}
-    cfg["schema_version"] = SCHEMA_VERSION
+    cfg = {key: f.default for key, f in fields.items() if f.default is not REQUIRED}
     cfg.update(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    cfg.update((key, value) for key, value in overrides.items() if value is not None)
+    for key, f in fields.items():
+        if key not in cfg:
+            raise ConfigError(f"missing required config field '{key}'")
+        if f.parse is not None and not (cfg[key] is None and f.default is None):
+            cfg[key] = f.parse(key, cfg[key])
 
-    for key in ("lambda", "k", "p_t", "c"):
-        cfg[key] = _positive_float(cfg, key)
-    for key in ("seed", "stream"):
-        cfg[key] = _int_at_least(cfg, key, 0)
-        if cfg[key] >= KEY_LIMIT:
-            raise ConfigError(f"config field '{key}' must be < 2^32, got {cfg[key]}")
-    if cfg["format"] not in ("json", "csv"):
-        raise ConfigError(f"config field 'format' must be 'json' or 'csv', got {cfg['format']!r}")
-    if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        raise ConfigError("config field 'out' must be a string path")
-
-    if command in ("simulate", "optimize"):
-        cfg["horizon"] = _int_at_least(cfg, "horizon", 1)
-        cfg["episodes"] = _int_at_least(cfg, "episodes", 2)
-        cfg["jobs"] = _int_at_least(cfg, "jobs", 1)
-        if cfg["jobs"] > MAX_JOBS:
-            raise ConfigError(f"config field 'jobs' must be <= {MAX_JOBS}, got {cfg['jobs']}")
-    if command == "simulate":
-        if cfg["strategy"] not in _STRATEGY_NAMES:
-            raise ConfigError(
-                f"config field 'strategy' must be one of {_STRATEGY_NAMES}, "
-                f"got {cfg['strategy']!r}"
-            )
-        if cfg["beta"] is not None:
-            beta = cfg["beta"]
-            if not isinstance(beta, (int, float)) or isinstance(beta, bool) \
-                    or not math.isfinite(float(beta)) or float(beta) < 0.0:
-                raise ConfigError(f"config field 'beta' must be a finite number >= 0, got {beta!r}")
-            cfg["beta"] = float(beta)
-        elif cfg["strategy"] == "threshold":
-            raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
-    elif command == "optimize":
-        for key in ("argmin_lo", "argmin_hi", "argmin_tol"):
-            value = cfg[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config field '{key}' must be a number, got {value!r}")
-            cfg[key] = float(value)
-        if not (0.0 <= cfg["argmin_lo"] < cfg["argmin_hi"]):
-            raise ConfigError("need 0 <= argmin_lo < argmin_hi")
-        if cfg["argmin_tol"] <= 0.0:
-            raise ConfigError("config field 'argmin_tol' must be positive")
-    elif command == "verify-matching":
-        if cfg["pair"] not in ("matched", "unmatched"):
-            raise ConfigError(f"config field 'pair' must be 'matched' or 'unmatched', got {cfg['pair']!r}")
-        cfg["samples"] = _int_at_least(cfg, "samples", 10_000)
-        cfg["omega_points"] = _int_at_least(cfg, "omega_points", 2)
-        for key in ("omega_min", "omega_max"):
-            value = cfg[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(float(value)):
-                raise ConfigError(f"config field '{key}' must be a finite number, got {value!r}")
-            cfg[key] = float(value)
-        if cfg["omega_min"] >= cfg["omega_max"]:
-            raise ConfigError("need omega_min < omega_max")
-    elif command == "sweep":
-        for key in ("lambda_grid", "k_grid", "p_t_grid", "c_grid"):
-            cfg[key] = _grid(cfg, key)
-        value = cfg["argmin_tol"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or float(value) <= 0.0:
-            raise ConfigError(f"config field 'argmin_tol' must be a positive number, got {value!r}")
-        cfg["argmin_tol"] = float(value)
-        if not isinstance(cfg["spot_check"], bool):
-            raise ConfigError("config field 'spot_check' must be a boolean")
-        cfg["spot_horizon"] = _int_at_least(cfg, "spot_horizon", 1)
-        cfg["spot_episodes"] = _int_at_least(cfg, "spot_episodes", 2)
+    if cfg.get("strategy") == "threshold" and cfg["beta"] is None:
+        raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
+    for lo, hi in (("argmin_lo", "argmin_hi"), ("omega_min", "omega_max")):
+        if lo in cfg and cfg[lo] >= cfg[hi]:
+            _fail(lo, f"< {hi} ({cfg[hi]!r})", cfg[lo])
     return cfg
+
+
+# The rows of each command's CSV table and their columns. An optimize report
+# is one row per field. A sweep row, in JSON too, is a SweepRow under these
+# names, with the spot-check columns only when spot checks ran.
+_SWEEP_COLUMNS = ("lambda", "k", "P_T", "c", "beta_star_formula", "beta_star_numeric",
+                  "J_at_beta_star")
+_SPOT_COLUMNS = ("j_mc_mean", "j_mc_std_error", "j_mc_within_4se")
+_CSV_COLUMNS = {
+    "simulate": ("metric", "estimate", "std_error", "n", "target", "z", "passed"),
+    "optimize": ("field", "value"),
+    "verify-matching": ("check", "omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"),
+    "sweep": _SWEEP_COLUMNS + _SPOT_COLUMNS,
+}
+_OPTIMIZE_FIELDS = ("beta_star_formula", "beta_star_numeric", "j_at_beta_star_formula",
+                    "j_at_beta_star_numeric", "mc_cost_mean", "mc_cost_std_error",
+                    "mc_cost_n", "passed")
 
 
 def _params(cfg: dict) -> SystemParams:
@@ -261,28 +233,21 @@ def _build_strategy(cfg: dict, p: SystemParams):
 
 def _check(name: str, estimate: simulator.MonteCarloEstimate | None, target) -> dict:
     """One checked statistic; one that could not be estimated fails with nulls."""
+    row = {"metric": name, "estimate": None, "std_error": None, "n": None,
+           "target": target, "z": None, "passed": False}
     if estimate is None:
-        return {"metric": name, "estimate": None, "std_error": None, "n": None,
-                "target": target, "z": None, "passed": False}
-    row = {
-        "metric": name,
-        "estimate": estimate.mean,
-        "std_error": estimate.std_error,
-        "n": estimate.n,
-        "target": target,
-        "z": None,
-        "passed": None,
-    }
+        return row
+    row.update(estimate=estimate.mean, std_error=estimate.std_error, n=estimate.n, passed=None)
     if target is not None:
         z = estimate.z_score(target)
         # a zero standard error with a gap gives an infinite z, which JSON
         # cannot hold; such a row fails anyway
-        row["z"] = z if math.isfinite(z) else None
-        row["passed"] = estimate.covers(target, SIGMAS)
+        row.update(z=z if math.isfinite(z) else None, passed=estimate.covers(target, SIGMAS))
     return row
 
 
 def cmd_simulate(cfg: dict) -> dict:
+    """Monte Carlo run of a strategy with closed-form cross checks"""
     p = _params(cfg)
     strat, beta = _build_strategy(cfg, p)
     rng = RngHandle(cfg["seed"], cfg["stream"])
@@ -326,6 +291,7 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_optimize(cfg: dict) -> dict:
+    """optimal threshold: formula vs golden-section argmin vs Monte Carlo"""
     p = _params(cfg)
     formula = analytics.optimal_threshold(p)
     numeric = analytics.numeric_argmin(p, cfg["argmin_lo"], cfg["argmin_hi"], cfg["argmin_tol"])
@@ -367,6 +333,7 @@ def cmd_optimize(cfg: dict) -> dict:
 
 
 def cmd_verify_matching(cfg: dict) -> dict:
+    """analytic and empirical characteristic-function residuals"""
     p = _params(cfg)
     grid = tuple(np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"]))
     rng = RngHandle(cfg["seed"], cfg["stream"])
@@ -432,6 +399,7 @@ def cmd_verify_matching(cfg: dict) -> dict:
 
 
 def cmd_sweep(cfg: dict) -> dict:
+    """formula/numeric threshold agreement over a parameter grid"""
     rows = analytics.threshold_sweep(
         cfg["lambda_grid"], cfg["k_grid"], cfg["p_t_grid"], cfg["c_grid"],
         tol=cfg["argmin_tol"],
@@ -442,23 +410,14 @@ def cmd_sweep(cfg: dict) -> dict:
     for i, r in enumerate(rows):
         gap = abs(r.beta_star_formula - r.beta_star_numeric)
         max_gap = max(max_gap, gap)
-        row = {
-            "lambda": r.lam,
-            "k": r.k,
-            "P_T": r.p_t,
-            "c": r.c,
-            "beta_star_formula": r.beta_star_formula,
-            "beta_star_numeric": r.beta_star_numeric,
-            "J_at_beta_star": r.j_at_beta_star,
-        }
+        row = dict(zip(_SWEEP_COLUMNS, astuple(r)))
         if cfg["spot_check"]:
             p = SystemParams(lam=r.lam, k=r.k, p_t=r.p_t, c=r.c)
             strat = strategies.ThresholdAffineStrategy(p, r.beta_star_formula)
             rng = RngHandle(cfg["seed"], cfg["stream"], (i,))
             mc = simulator.estimate_cost(p, strat, cfg["spot_horizon"], cfg["spot_episodes"], rng)
-            row["j_mc_mean"] = mc.mean
-            row["j_mc_std_error"] = mc.std_error
-            row["j_mc_within_4se"] = mc.covers(r.j_at_beta_star, SIGMAS)
+            row.update(zip(_SPOT_COLUMNS,
+                           (mc.mean, mc.std_error, mc.covers(r.j_at_beta_star, SIGMAS))))
             spot_all_pass = spot_all_pass and row["j_mc_within_4se"]
         out_rows.append(row)
 
@@ -505,33 +464,18 @@ def _csv_cell(value) -> str:
 
 def _write_csv(report: dict, path: str) -> None:
     command = report["command"]
+    if command == "optimize":
+        rows = [{"field": key, "value": report[key]} for key in _OPTIMIZE_FIELDS]
+    elif command == "verify-matching":
+        rows = [{"check": label, **point} for label in ("analytic", "empirical")
+                for point in report[label]["points"]]
+    else:
+        rows = report["checks" if command == "simulate" else "rows"]
+    header = [column for column in _CSV_COLUMNS[command] if column in rows[0]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if command == "simulate":
-            writer.writerow(["metric", "estimate", "std_error", "n", "target", "z", "passed"])
-            for row in report["checks"]:
-                writer.writerow([_csv_cell(row[k]) for k in
-                                 ("metric", "estimate", "std_error", "n", "target", "z", "passed")])
-        elif command == "optimize":
-            writer.writerow(["field", "value"])
-            for key in ("beta_star_formula", "beta_star_numeric",
-                        "j_at_beta_star_formula", "j_at_beta_star_numeric",
-                        "mc_cost_mean", "mc_cost_std_error", "mc_cost_n", "passed"):
-                writer.writerow([key, _csv_cell(report[key])])
-        elif command == "verify-matching":
-            writer.writerow(["check", "omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"])
-            for label in ("analytic", "empirical"):
-                for point in report[label]["points"]:
-                    writer.writerow([label] + [_csv_cell(point[k]) for k in
-                                               ("omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")])
-        else:
-            header = ["lambda", "k", "P_T", "c",
-                      "beta_star_formula", "beta_star_numeric", "J_at_beta_star"]
-            if report["config"]["spot_check"]:
-                header += ["j_mc_mean", "j_mc_std_error", "j_mc_within_4se"]
-            writer.writerow(header)
-            for row in report["rows"]:
-                writer.writerow([_csv_cell(row[k]) for k in header])
+        writer.writerow(header)
+        writer.writerows([_csv_cell(row[column]) for column in header] for row in rows)
 
 
 _COMMANDS = {
@@ -542,14 +486,6 @@ _COMMANDS = {
 }
 
 
-_COMMAND_HELP = {
-    "simulate": "Monte Carlo run of a strategy with closed-form cross checks",
-    "optimize": "optimal threshold: formula vs golden-section argmin vs Monte Carlo",
-    "verify-matching": "analytic and empirical characteristic-function residuals",
-    "sweep": "formula/numeric threshold agreement over a parameter grid",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="remest",
@@ -557,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=_COMMAND_HELP[name])
+        cmd = sub.add_parser(name, help=_COMMANDS[name].__doc__)
         cmd.add_argument("--config", required=True, help="path to flat JSON config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--out", default=None, help="override report output path")

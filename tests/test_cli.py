@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from remest.cli import MAX_JOBS, ConfigError, load_config, main
+from remest.cli import _COMMANDS, CONFIG_FIELDS, MAX_JOBS, REQUIRED, ConfigError, load_config, main
 
 REF_PARAMS = {"lambda": 1.0, "k": 2.0, "p_t": 1.0, "c": 1.0}
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def reject_constant(token):
@@ -171,6 +172,20 @@ class TestValidation:
                               capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
         assert done.returncode == 2, done.stderr
         assert "schema_version" in done.stderr
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("optimize", "argmin_hi", math.inf),
+        ("optimize", "argmin_tol", math.nan),
+        ("sweep", "argmin_tol", math.nan),
+        ("sweep", "argmin_tol", math.inf),
+    ])
+    def test_non_finite_argmin_is_config_error(self, tmp_path, capsys, command, key, value):
+        # json reads Infinity and NaN; neither may reach the golden-section search
+        sizes = {"horizon": 100, "episodes": 5} if command == "optimize" else {}
+        cfg = write_config(tmp_path / "cfg.json", out=str(tmp_path / "r.json"),
+                           **sizes, **{key: value})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=5,
@@ -390,3 +405,19 @@ class TestSweep:
         cfg = write_config(tmp_path / "cfg.json", lambda_grid=[])
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "lambda_grid" in capsys.readouterr().err
+
+
+def test_readme_config_table_matches_fields():
+    # each row of the README table: its keys, the commands that take every
+    # one of them ("all" or a list) and its default ("required" or a value)
+    section = (ROOT / "README.md").read_text().split("### Config schema")[1].split("\n#")[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) < 3 or not cells[0].startswith("`"):
+            continue
+        commands = set(_COMMANDS) if cells[1] == "all" else set(cells[1].split(", "))
+        for key in cells[0].replace("`", "").split(", "):
+            documented[key] = (commands, cells[2].startswith("required"))
+    assert documented == {key: (set(f.commands.split()), f.default is REQUIRED)
+                          for key, f in CONFIG_FIELDS.items()}
