@@ -23,7 +23,6 @@ from .distributions import (
     RngHandle,
     char_fn,
     empirical_char_fn,
-    pdf,
     sample_exponential,
     sample_gamma,
     sample_laplace,

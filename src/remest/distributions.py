@@ -1,4 +1,4 @@
-"""Samplers, densities, moments, and characteristic functions for the three
+"""Samplers, moments, and characteristic functions for the three
 distribution families used by the estimation pipeline: Laplace sources,
 exponential tails, and gamma channel noise.  All randomness flows through
 :class:`RngHandle` so every experiment is reproducible bit for bit.
@@ -18,7 +18,6 @@ __all__ = [
     "sample_laplace",
     "sample_exponential",
     "sample_gamma",
-    "pdf",
     "char_fn",
     "empirical_char_fn",
 ]
@@ -168,37 +167,6 @@ def sample_gamma(d: GammaDist, rng: RngHandle, size: int | None = None):
     ``size=None`` returns a scalar float; an integer returns a 1-D array.
     """
     return rng.generator.gamma(d.shape, d.scale, size)
-
-
-def pdf(dist, x):
-    """Density of ``dist`` at ``x`` (scalar or array).
-
-    Laplace keeps the explicit two-branch exponential form; exponential and
-    gamma densities are zero on the negative axis.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(dist, LaplaceDist):
-        lam = dist.rate
-        z = x - dist.location
-        # the two exponential branches coincide bit for bit on -lam*|z|
-        out = 0.5 * lam * np.exp(-lam * np.abs(z))
-    elif isinstance(dist, ExponentialDist):
-        lam = dist.rate
-        out = np.where(x >= 0.0, lam * np.exp(-lam * np.maximum(x, 0.0)), 0.0)
-    elif isinstance(dist, GammaDist):
-        from scipy.special import gammaln
-
-        k, th = dist.shape, dist.scale
-        xp = np.where(x > 0.0, x, 1.0)  # placeholder keeps log finite off-support
-        log_pdf = (k - 1.0) * np.log(xp) - xp / th - gammaln(k) - k * np.log(th)
-        out = np.where(x > 0.0, np.exp(log_pdf), 0.0)
-        if k == 1.0:
-            out = np.where(x == 0.0, 1.0 / th, out)
-        elif k < 1.0:
-            out = np.where(x == 0.0, np.inf, out)
-    else:
-        raise TypeError(f"unsupported distribution type: {type(dist).__name__}")
-    return out if out.ndim else float(out)
 
 
 def char_fn(dist, omega):

@@ -14,7 +14,6 @@ block size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -140,32 +139,6 @@ class EpisodeTrace:
     @property
     def n_transmissions(self) -> int:
         return int(np.count_nonzero(self.u))
-
-    def write_jsonl(self, file) -> None:
-        """One JSON object per stage; silent stages carry null ``y``, ``y_tilde`` and ``s``."""
-        def _write(fh):
-            encode = json.JSONEncoder(sort_keys=True).encode
-            cols = (self.x, self.u, self.y, self.v, self.y_tilde, self.s, self.x_hat,
-                    self.stage_cost)
-            rows = zip(*(col.tolist() for col in cols))
-            for t, (x, u, y, v, y_tilde, s, x_hat, cost) in enumerate(rows, 1):
-                fh.write(encode({
-                    "t": t,
-                    "x": x,
-                    "u": int(u),
-                    "y": y if u else None,
-                    "v": v,
-                    "y_tilde": y_tilde if u else None,
-                    "s": s if u else None,
-                    "x_hat": x_hat,
-                    "stage_cost": cost,
-                }) + "\n")
-
-        if hasattr(file, "write"):
-            _write(file)
-        else:
-            with open(file, "w") as fh:
-                _write(fh)
 
 
 class _Block(NamedTuple):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from remest.analytics import (
@@ -15,7 +16,6 @@ from remest.analytics import (
     optimal_threshold,
     threshold_sweep,
 )
-from remest.distributions import LaplaceDist, pdf
 from remest.strategies import SystemParams
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
@@ -25,9 +25,9 @@ J_AT_BETA_STAR_REF = 0.7399659905604149  # frozen from the quadrature oracle
 
 def quadrature_cost(p: SystemParams, beta: float) -> float:
     """Independent oracle: adaptive quadrature of the defining integrals."""
-    lap = LaplaceDist(0.0, 1.0 / p.lam)
-    inside, _ = quad(lambda x: 2.0 * x * x * pdf(lap, x), 0.0, beta, limit=200)
-    tail, _ = quad(lambda x: 2.0 * pdf(lap, x), beta, np.inf, limit=200)
+    density = stats.laplace(scale=1.0 / p.lam).pdf
+    inside, _ = quad(lambda x: 2.0 * x * x * density(x), 0.0, beta, limit=200)
+    tail, _ = quad(lambda x: 2.0 * density(x), beta, np.inf, limit=200)
     return inside + (p.c + p.m) * tail
 
 

@@ -12,7 +12,6 @@ from remest.distributions import (
     RngHandle,
     char_fn,
     empirical_char_fn,
-    pdf,
     sample_exponential,
     sample_gamma,
     sample_laplace,
@@ -161,46 +160,6 @@ class TestExponentialSampling:
         x = sample_exponential(d, RngHandle(2024, 9), size=N)
         assert x.mean() == pytest.approx(d.mean, rel=0.01)
         assert x.var(ddof=1) == pytest.approx(d.variance, rel=0.02)
-
-
-class TestPdf:
-    def test_laplace_values(self):
-        d = LaplaceDist(0.0, 1.0)
-        assert pdf(d, 0.0) == 0.5
-        assert pdf(d, 1.0) == pytest.approx(0.5 * np.exp(-1.0), abs=1e-15)
-
-    def test_laplace_symmetry(self):
-        d = LaplaceDist(0.0, 0.5)
-        xs = np.linspace(-4.0, 4.0, 41)
-        np.testing.assert_array_equal(pdf(d, xs), pdf(d, -xs))
-
-    def test_laplace_normalization(self):
-        from scipy.integrate import quad
-        d = LaplaceDist(0.0, 1.0 / 3.0)
-        total, _ = quad(lambda x: pdf(d, x), -np.inf, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_gamma_off_support(self):
-        d = GammaDist(2.0, 1.0)
-        assert pdf(d, 0.0) == 0.0
-        assert pdf(d, -1.0) == 0.0
-        assert pdf(d, 1.0) == pytest.approx(np.exp(-1.0), abs=1e-15)
-
-    def test_gamma_shape_one_at_origin(self):
-        assert pdf(GammaDist(1.0, 2.0), 0.0) == 0.5
-
-    def test_exponential(self):
-        d = ExponentialDist(2.0)
-        assert pdf(d, -0.5) == 0.0
-        assert pdf(d, 0.0) == 2.0
-
-    def test_matches_scipy_on_grid(self):
-        xs = np.linspace(0.01, 8.0, 50)
-        np.testing.assert_allclose(
-            pdf(GammaDist(2.5, 1.3), xs),
-            stats.gamma(2.5, scale=1.3).pdf(xs),
-            rtol=1e-12,
-        )
 
 
 class TestCharFn:

@@ -1,5 +1,3 @@
-import io
-import json
 import math
 import tracemalloc
 
@@ -105,33 +103,24 @@ class TestRunEpisode:
 
     def test_stage_view_maps_epsilon(self):
         # Stage by stage, "no transmission" maps to NaN payloads and sign 0 in
-        # the columns and to null in the JSONL record of that stage.
+        # the columns.
         tr = run_episode(REF, OPTIMAL, 200, RngHandle(2))
-        buf = io.StringIO()
-        tr.write_jsonl(buf)
-        records = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert len(records) == 200
         for field in ("x", "u", "y", "v", "y_tilde", "s", "x_hat", "stage_cost"):
             assert getattr(tr, field).shape == (200,), field
         saw_silent = saw_tx = False
-        for i, record in enumerate(records):
+        for i in range(200):
             if not tr.u[i]:
                 saw_silent = True
                 assert math.isnan(tr.y[i]) and math.isnan(tr.y_tilde[i])
                 assert tr.s[i] == 0
                 assert tr.x_hat[i] == 0.0
-                assert record["y"] is None
-                assert record["y_tilde"] is None
-                assert record["s"] is None
             else:
                 saw_tx = True
                 assert tr.s[i] in (1, -1)
-                assert record["s"] == tr.s[i]
                 assert tr.y_tilde[i] == pytest.approx(tr.y[i] + tr.v[i])
             assert tr.stage_cost[i] == pytest.approx(
                 REF.c * tr.u[i] + (tr.x[i] - tr.x_hat[i]) ** 2
             )
-            assert record["stage_cost"] == tr.stage_cost[i]
         assert saw_silent and saw_tx
 
     def test_policy_sees_only_transmitting_entries(self):
@@ -347,34 +336,6 @@ class TestStationarity:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
-
-
-class TestTraceExport:
-    def test_jsonl_roundtrip(self, tmp_path):
-        tr = run_episode(REF, OPTIMAL, 50, RngHandle(2025, 12))
-        path = tmp_path / "trace.jsonl"
-        tr.write_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 50
-        for i, line in enumerate(lines):
-            record = json.loads(line)
-            assert record["t"] == i + 1
-            assert record["x"] == tr.x[i]
-            assert record["u"] == tr.u[i]
-            if not tr.u[i]:
-                assert record["y"] is None
-                assert record["y_tilde"] is None
-                assert record["s"] is None
-            else:
-                assert record["y"] == tr.y[i]
-                assert record["y_tilde"] == tr.y_tilde[i]
-                assert record["s"] == tr.s[i]
-
-    def test_jsonl_deterministic_bytes(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run_episode(REF, OPTIMAL, 100, RngHandle(7, 7)).write_jsonl(a)
-        run_episode(REF, OPTIMAL, 100, RngHandle(7, 7)).write_jsonl(b)
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestBoundedMemory:
