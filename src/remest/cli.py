@@ -14,8 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -50,7 +49,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _fail(key: str, expected: str, value) -> None:
+def _fail(key: str, expected: str, value) -> NoReturn:
     raise ConfigError(f"config field '{key}' must be {expected}, got {value!r}")
 
 
@@ -108,22 +107,22 @@ class Field(NamedTuple):
 
 
 REQUIRED = object()
-ALL = "simulate optimize verify-matching sweep"
+_ALL = "simulate optimize verify-matching sweep"
 _random_key = _integer(0, KEY_LIMIT - 1)
 
 # Every config key, in the order its value is validated. A value of None is
 # kept without parsing where the default is None; `schema_version` is checked
 # before all others and echoed as given.
 CONFIG_FIELDS = {
-    "schema_version": Field(ALL, REQUIRED, None),
-    "lambda": Field(ALL, REQUIRED, _positive),
-    "k": Field(ALL, REQUIRED, _positive),
-    "p_t": Field(ALL, REQUIRED, _positive),
-    "c": Field(ALL, REQUIRED, _positive),
-    "seed": Field(ALL, 0, _random_key),
-    "stream": Field(ALL, 0, _random_key),
-    "format": Field(ALL, "json", _choice("json", "csv")),
-    "out": Field(ALL, None, _path),
+    "schema_version": Field(_ALL, REQUIRED, None),
+    "lambda": Field(_ALL, REQUIRED, _positive),
+    "k": Field(_ALL, REQUIRED, _positive),
+    "p_t": Field(_ALL, REQUIRED, _positive),
+    "c": Field(_ALL, REQUIRED, _positive),
+    "seed": Field(_ALL, 0, _random_key),
+    "stream": Field(_ALL, 0, _random_key),
+    "format": Field(_ALL, "json", _choice("json", "csv")),
+    "out": Field(_ALL, None, _path),
     "horizon": Field("simulate optimize", 10_000, _integer(1)),
     "episodes": Field("simulate optimize", 100, _integer(2)),
     "jobs": Field("simulate optimize", 1, _integer(1, MAX_JOBS)),
@@ -410,7 +409,8 @@ def cmd_sweep(cfg: dict) -> dict:
     for i, r in enumerate(rows):
         gap = abs(r.beta_star_formula - r.beta_star_numeric)
         max_gap = max(max_gap, gap)
-        row = dict(zip(_SWEEP_COLUMNS, astuple(r)))
+        row = dict(zip(_SWEEP_COLUMNS, (r.lam, r.k, r.p_t, r.c, r.beta_star_formula,
+                                        r.beta_star_numeric, r.j_at_beta_star)))
         if cfg["spot_check"]:
             p = SystemParams(lam=r.lam, k=r.k, p_t=r.p_t, c=r.c)
             strat = strategies.ThresholdAffineStrategy(p, r.beta_star_formula)
