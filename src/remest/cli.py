@@ -43,6 +43,10 @@ ARGMIN_AGREEMENT_TOL = 1e-6
 # `jobs` starts no thread (the simulator runs its blocks serially); the cap
 # keeps the accepted range small should it start workers again
 MAX_JOBS = 64
+# Samples per chunk that verify-matching draws and passes on at a time:
+# 32 blocks of distributions.CF_BLOCK. numpy draws a sequence in chunks
+# bit for bit as it draws it at once, so the samples do not depend on it.
+SAMPLE_CHUNK = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -58,10 +62,13 @@ def _number(minimum: float = -math.inf, above: bool = False):
     bound = f" {'>' if above else '>='} {minimum:g}" if minimum > -math.inf else ""
 
     def parse(key: str, value) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value) or (value <= minimum if above else value < minimum):
+        try:  # a bool is not a number here, though bool is a subclass of int
+            number = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            number = math.nan
+        if not math.isfinite(number) or (number <= minimum if above else number < minimum):
             _fail(key, "a finite number" + bound, value)
-        return float(value)
+        return number
     return parse
 
 
@@ -155,7 +162,7 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -164,8 +171,9 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     unknown = sorted(set(raw) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config field(s) for {command}: {', '.join(unknown)}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        _fail("schema_version", str(SCHEMA_VERSION), raw.get("schema_version"))
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1 in Python
+        _fail("schema_version", str(SCHEMA_VERSION), version)
 
     cfg = {key: f.default for key, f in fields.items() if f.default is not REQUIRED}
     cfg.update(raw)
@@ -331,6 +339,12 @@ def cmd_optimize(cfg: dict) -> dict:
     }
 
 
+def _chunks(n: int, draw: Callable[[int], np.ndarray]):
+    """``n`` samples, drawn lazily by ``draw(size)`` at most SAMPLE_CHUNK at a time."""
+    for lo in range(0, n, SAMPLE_CHUNK):
+        yield draw(min(SAMPLE_CHUNK, n - lo))
+
+
 def cmd_verify_matching(cfg: dict) -> dict:
     """analytic and empirical characteristic-function residuals"""
     p = _params(cfg)
@@ -340,10 +354,9 @@ def cmd_verify_matching(cfg: dict) -> dict:
 
     if cfg["pair"] == "matched":
         spec = matching.matched_pair_spec(p, grid)
-        src_samples = (
-            sample_exponential(ExponentialDist(p.lam), rng, size=n) - 1.0 / p.lam
-        )
-        noise_samples = sample_gamma(GammaDist(p.k, p.theta), rng, size=n) - p.k * p.theta
+        expo, gam = ExponentialDist(p.lam), GammaDist(p.k, p.theta)
+        src_chunks = _chunks(n, lambda m: sample_exponential(expo, rng, size=m) - 1.0 / p.lam)
+        noise_chunks = _chunks(n, lambda m: sample_gamma(gam, rng, size=m) - p.k * p.theta)
         analytic_pass = lambda r: r < ANALYTIC_RESIDUAL_TOL
         empirical_pass = lambda r: r < EMPIRICAL_RESIDUAL_TOL
         expectation = "residuals_below_tolerance"
@@ -359,15 +372,17 @@ def cmd_verify_matching(cfg: dict) -> dict:
             gamma=1.0,
             omega_grid=grid,
         )
-        src_samples = sample_laplace(lap, rng, size=n)
-        noise_samples = sample_gamma(gam, rng, size=n)
+        src_chunks = _chunks(n, lambda m: sample_laplace(lap, rng, size=m))
+        noise_chunks = _chunks(n, lambda m: sample_gamma(gam, rng, size=m))
         analytic_pass = lambda r: r > UNMATCHED_ANALYTIC_MIN
         empirical_pass = lambda r: r > UNMATCHED_EMPIRICAL_MIN
         expectation = "residuals_above_floor"
 
     analytic = matching.check_matching(spec)
+    # both sides draw from one handle; check_matching_empirical takes every
+    # source chunk before the first noise chunk, the order of one-shot draws
     empirical = matching.check_matching_empirical(
-        src_samples, noise_samples, spec.alpha, spec.gamma, grid
+        src_chunks, noise_chunks, spec.alpha, spec.gamma, grid
     )
 
     analytic_json = analytic.to_json_dict()

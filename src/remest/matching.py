@@ -187,15 +187,41 @@ def check_matching(spec: MatchSpec) -> CfResidualReport:
     return _build_report(omega, lhs, rhs, usable)
 
 
+def _mean_cf(chunks, omega: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Empirical CF at ``omega`` over an iterable of 1-D sample chunks, and
+    the sample count: one :func:`empirical_char_fn` call per chunk, folded as
+    a running mean acc += (phi - acc)·m/n.  The first chunk's CF is taken as
+    is, so a single chunk gives exactly the CF of its array."""
+    acc, n = None, 0
+    for chunk in chunks:
+        x = np.asarray(chunk, dtype=np.float64)
+        if x.ndim != 1:
+            raise TypeError(f"each sample chunk must be a 1-D array, got shape {x.shape}")
+        if x.size == 0:
+            continue
+        n += x.size
+        phi = np.atleast_1d(empirical_char_fn(x, omega))
+        if acc is None:
+            acc = phi
+        else:
+            acc += (phi - acc) * (x.size / n)
+    return acc, n
+
+
 def check_matching_empirical(
-    source_samples,
-    noise_samples,
+    source_chunks,
+    noise_chunks,
     alpha: float,
     gamma: float,
     omega_grid: Sequence[float] | None = None,
     min_samples: int = 10_000,
 ) -> CfResidualReport:
     """Sampling-based version of :func:`check_matching`.
+
+    Each side is an iterable of 1-D sample chunks (a list of arrays, or a
+    generator that draws them); one array is passed as ``[array]``.  Every
+    source chunk is consumed before the first noise chunk, so two
+    generators drawing from one random stream draw in that order.
 
     Both sides use empirical CFs, so the residual floor is set by Monte
     Carlo error (roughly 1/sqrt(N) per point, amplified by the gamma-th
@@ -205,21 +231,11 @@ def check_matching_empirical(
     and they are excluded from the reported maximum, which is NaN when no
     point is reliable.
 
-    Nearly all the time goes to :func:`empirical_char_fn`, once per side.
-    It streams the samples in blocks, so memory beyond the two sample
-    arrays stays at a few hundred KiB; on a uniform grid each block sums
-    all points with one complex matrix product of baby and giant phase
-    rotations, and on a grid symmetric about 0 (the default, and any
-    ``linspace(-a, a, n)``, also after scaling by alpha) it computes only
-    the half from the middle point on and takes the rest as conjugates.
+    Nearly all the time goes to :func:`empirical_char_fn`, once per chunk;
+    the chunk CFs are averaged with weights by size, which equals the CF of
+    the concatenated samples up to roundoff.  Memory is one chunk at a time
+    plus the CF's few hundred KiB of blocks, whatever the sample count.
     """
-    src = np.asarray(source_samples, dtype=np.float64).ravel()
-    noi = np.asarray(noise_samples, dtype=np.float64).ravel()
-    if src.size < min_samples or noi.size < min_samples:
-        raise ValueError(
-            f"need at least {min_samples} samples per side, "
-            f"got {src.size} source and {noi.size} noise"
-        )
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if not np.isfinite(gamma) or gamma <= 0.0:
@@ -228,9 +244,18 @@ def check_matching_empirical(
     omega = np.sort(np.asarray(grid, dtype=np.float64), kind="stable")
     if omega.size == 0 or not np.all(np.isfinite(omega)):
         raise ValueError("omega_grid must be non-empty and finite")
+    if isinstance(source_chunks, np.ndarray) or isinstance(noise_chunks, np.ndarray):
+        raise TypeError("each side must be an iterable of 1-D sample chunks; "
+                        "pass [array] for one array")
 
-    lhs = np.atleast_1d(empirical_char_fn(src, alpha * omega))
-    noise = np.atleast_1d(empirical_char_fn(noi, omega))
+    lhs, n_src = _mean_cf(source_chunks, alpha * omega)
+    noise, n_noise = _mean_cf(noise_chunks, omega)
+    least = max(min_samples, 1)
+    if n_src < least or n_noise < least:
+        raise ValueError(
+            f"need at least {least} samples per side, "
+            f"got {n_src} source and {n_noise} noise"
+        )
     reliable = np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR
     anchor = int(np.argmin(np.abs(omega)))
     rhs = _continuous_power(noise, gamma, reliable, anchor)

@@ -59,7 +59,7 @@ def test_criterion_01_matching_condition():
     rng = RngHandle(20240, 0)
     src = sample_exponential(ExponentialDist(REF.lam), rng, size=n) - 1.0 / REF.lam
     noise = sample_gamma(GammaDist(REF.k, REF.theta), rng, size=n) - REF.k * REF.theta
-    empirical = check_matching_empirical(src, noise, REF.alpha, REF.gamma)
+    empirical = check_matching_empirical([src], [noise], REF.alpha, REF.gamma)
     elapsed = time.monotonic() - start
 
     passed = (

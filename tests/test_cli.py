@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,35 @@ class TestValidation:
         assert main([command, "--config", str(cfg)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_names_field(self, tmp_path, capsys):
+        # json reads 1 followed by 400 zeros as an int that no float holds
+        cfg = write_config(tmp_path / "cfg.json", **{"lambda": 10**400})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "'lambda'" in capsys.readouterr().err
+
+    def test_integer_beyond_digit_limit_is_config_error(self, tmp_path, capsys):
+        # beyond Python's 4300-digit limit json.load raises a plain ValueError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **REF_PARAMS})[:-1]
+                       + ', "horizon": 1' + "0" * 5_000 + "}")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [True, 2, 1.5, "1"])
+    def test_schema_version_must_be_the_number_1(self, tmp_path, capsys, version):
+        # true == 1 in Python, yet it is not the schema version
+        cfg = write_config(tmp_path / "cfg.json", schema_version=version, horizon=100,
+                           episodes=5, out=str(tmp_path / "r.json"))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "schema_version" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("version", [1, 1.0])
+    def test_schema_version_echoed_as_given(self, tmp_path, version):
+        cfg = write_config(tmp_path / "cfg.json", schema_version=version)
+        echoed = load_config(str(cfg), "simulate", {})["schema_version"]
+        assert echoed == 1 and type(echoed) is type(version)
+
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=5,
                            out=str(tmp_path / "no_such_dir" / "report.json"))
@@ -362,6 +392,30 @@ class TestVerifyMatching:
                      "--out", str(out_csv)]) in (0, 1)
         rows = [r for r in csv.reader(out_csv.open()) if r[0] == "empirical"]
         assert sum(r[-1] == "" for r in rows) == len(unreliable)
+
+
+class TestVerifyMatchingBoundedMemory:
+    """The traced peak of an in-process verify-matching run does not grow
+    with ``samples``: each side is drawn and passed on one chunk at a time.
+    Holding both sample arrays, 2^20 samples would add 15 MiB over 2^16."""
+
+    SLACK = 2**20  # bytes: two chunks of 65,536 float64 samples
+
+    @staticmethod
+    def _peak(tmp_path, samples: int) -> int:
+        cfg = write_config(tmp_path / "cfg.json", samples=samples, out=str(tmp_path / "r.json"))
+        tracemalloc.start()
+        try:
+            assert main(["verify-matching", "--config", str(cfg)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_samples(self, tmp_path):
+        self._peak(tmp_path, 2**16)  # warm caches and imports outside the measurement
+        small = self._peak(tmp_path, 2**16)
+        large = self._peak(tmp_path, 2**20)
+        assert large <= small + self.SLACK, (small, large)
 
 
 class TestSweep:

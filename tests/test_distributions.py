@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from remest.cli import SAMPLE_CHUNK
 from remest.distributions import (
     CF_BLOCK,
     ExponentialDist,
@@ -335,3 +336,29 @@ class TestCharFnBoundedMemory:
         small = self._peak(x, narrow)
         large = self._peak(x, wide)
         assert large <= small + result_growth + self.SLACK, (small, large)
+
+
+class TestChunkedDraws:
+    """numpy draws a sequence in chunks bit for bit as it draws it at once;
+    verify-matching draws its samples SAMPLE_CHUNK at a time, all source
+    chunks before the first noise chunk, and relies on this."""
+
+    N = 2**17 + 4321
+
+    @pytest.mark.parametrize("source", [
+        lambda rng, n: sample_exponential(ExponentialDist(1.0), rng, size=n),
+        lambda rng, n: sample_laplace(LaplaceDist(0.0, 1.0), rng, size=n),
+    ], ids=["exponential", "laplace"])
+    @pytest.mark.parametrize("shape", [2.0, 0.5])
+    def test_chunked_draws_equal_one_shot(self, source, shape):
+        def noise(rng, n):
+            return sample_gamma(GammaDist(shape, 1.0), rng, size=n)
+
+        whole = RngHandle(41)
+        expected = [source(whole, self.N), noise(whole, self.N)]
+        chunked = RngHandle(41)
+        got = [np.concatenate([draw(chunked, min(SAMPLE_CHUNK, self.N - lo))
+                               for lo in range(0, self.N, SAMPLE_CHUNK)])
+               for draw in (source, noise)]
+        for a, b in zip(expected, got):
+            assert a.tobytes() == b.tobytes()

@@ -9,6 +9,7 @@ from remest.distributions import (
     LaplaceDist,
     RngHandle,
     char_fn,
+    empirical_char_fn,
     sample_exponential,
     sample_gamma,
     sample_laplace,
@@ -133,26 +134,26 @@ class TestAnalyticMatching:
 class TestEmpiricalMatching:
     def test_matched_samples_small_residual(self):
         src, noise = _centered_pair_samples(REF, 10**6)
-        report = check_matching_empirical(src, noise, REF.alpha, REF.gamma)
+        report = check_matching_empirical([src], [noise], REF.alpha, REF.gamma)
         assert report.n_unreliable == 0
         assert report.max_residual < 0.02
 
     def test_degenerate_zero_samples(self):
         zeros = np.zeros(10_000)
-        report = check_matching_empirical(zeros, zeros, 1.0, 0.5)
+        report = check_matching_empirical([zeros], [zeros], 1.0, 0.5)
         assert report.max_residual == 0.0
 
     def test_mismatched_samples_large_residual(self):
         rng = RngHandle(778)
         src = sample_laplace(LaplaceDist(0.0, 1.0), rng, size=10**5)
         noise = sample_gamma(GammaDist(2.0, 1.0), rng, size=10**5)
-        report = check_matching_empirical(src, noise, 1.0, 1.0)
+        report = check_matching_empirical([src], [noise], 1.0, 1.0)
         assert report.max_residual > 0.05
 
     def test_no_reliable_point_gives_null_maximum(self):
         # noise on {0, pi} in equal parts: its CF (1 + exp(j·pi·w))/2 vanishes at w = +-1
         noise = np.tile([0.0, np.pi], 5_000)
-        report = check_matching_empirical(np.zeros(10_000), noise, 1.0, 0.5, (-1.0, 1.0))
+        report = check_matching_empirical([np.zeros(10_000)], [noise], 1.0, 0.5, (-1.0, 1.0))
         assert report.n_unreliable == 2
         assert np.isnan(report.max_residual)
         payload = report.to_json_dict()
@@ -164,16 +165,92 @@ class TestEmpiricalMatching:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            check_matching_empirical(np.zeros(100), np.zeros(100), 1.0, 1.0)
+            check_matching_empirical([np.zeros(100)], [np.zeros(100)], 1.0, 1.0)
 
     def test_matches_analytic_cfs_closely(self):
         src, noise = _centered_pair_samples(REF, 200_000, seed=12)
-        emp = check_matching_empirical(src, noise, REF.alpha, REF.gamma)
+        emp = check_matching_empirical([src], [noise], REF.alpha, REF.gamma)
         ana = check_matching(matched_pair_spec(REF))
         gap = max(
             abs(e.lhs - a.lhs) for e, a in zip(emp.points, ana.points)
         )
         assert gap < 0.02
+
+
+class TestEmpiricalMatchingChunks:
+    """Each side is an iterable of 1-D chunks; the chunk CFs are averaged."""
+
+    N = 3 * 2**16 + 4321
+    CUTS = (2**16, 2 * 2**16, 3 * 2**16)  # three full chunks and a ragged one
+
+    @staticmethod
+    def _values(report):
+        return np.array([[p.lhs, p.rhs] for p in report.points])
+
+    @pytest.mark.parametrize("pair", ["matched", "unmatched"])
+    def test_chunks_equal_one_array(self, pair):
+        if pair == "matched":
+            src, noise = _centered_pair_samples(REF, self.N, seed=31)
+            alpha, gamma = REF.alpha, REF.gamma
+        else:
+            rng = RngHandle(31)
+            src = sample_laplace(LaplaceDist(0.0, 1.0), rng, size=self.N)
+            noise = sample_gamma(GammaDist(2.0, 1.0), rng, size=self.N)
+            alpha, gamma = 1.0, 1.0
+        whole = check_matching_empirical([src], [noise], alpha, gamma)
+        chunked = check_matching_empirical(np.split(src, self.CUTS), np.split(noise, self.CUTS),
+                                           alpha, gamma)
+        np.testing.assert_allclose(self._values(chunked), self._values(whole),
+                                   rtol=0.0, atol=1e-14)
+        assert abs(chunked.max_residual - whole.max_residual) <= 1e-14
+
+    def test_one_chunk_is_the_cf_of_the_array(self):
+        rng = RngHandle(32)
+        src = sample_laplace(LaplaceDist(0.0, 1.0), rng, size=50_000)
+        noise = sample_gamma(GammaDist(2.0, 1.0), rng, size=50_000)
+        omega = np.asarray(DEFAULT_OMEGA_GRID)
+        report = check_matching_empirical([src], [noise], 0.5, 1.0)
+        lhs, rhs = self._values(report).T
+        assert lhs.tobytes() == empirical_char_fn(src, 0.5 * omega).tobytes()
+        assert rhs.tobytes() == empirical_char_fn(noise, omega).tobytes()
+
+    def test_source_chunks_are_drawn_before_noise_chunks(self):
+        # two generators on one handle draw what one-shot arrays draw
+        src, noise = _centered_pair_samples(REF, self.N, seed=33)
+        rng = RngHandle(33)
+
+        def draws(sample, dist, shift):
+            for lo in range(0, self.N, 2**16):
+                yield sample(dist, rng, size=min(2**16, self.N - lo)) - shift
+
+        lazy = check_matching_empirical(
+            draws(sample_exponential, ExponentialDist(REF.lam), 1.0 / REF.lam),
+            draws(sample_gamma, GammaDist(REF.k, REF.theta), REF.k * REF.theta),
+            REF.alpha, REF.gamma)
+        whole = check_matching_empirical([src], [noise], REF.alpha, REF.gamma)
+        np.testing.assert_allclose(self._values(lazy), self._values(whole),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_bare_array_rejected(self):
+        x = np.zeros(10_000)
+        with pytest.raises(TypeError, match=r"\[array\]"):
+            check_matching_empirical(x, [x], 1.0, 1.0)
+        with pytest.raises(TypeError, match=r"\[array\]"):
+            check_matching_empirical([x], x, 1.0, 1.0)
+
+    def test_chunk_must_be_1d(self):
+        x = np.zeros(10_000)
+        with pytest.raises(TypeError, match="1-D"):
+            check_matching_empirical([x.reshape(100, 100)], [x], 1.0, 1.0)
+        with pytest.raises(TypeError, match="1-D"):
+            check_matching_empirical(list(x), [x], 1.0, 1.0)
+
+    def test_sample_count_is_summed_over_chunks(self):
+        x = np.zeros(4_000)
+        with pytest.raises(ValueError, match="12000 source and 8000 noise"):
+            check_matching_empirical([x, x, x], [x, x, np.empty(0)], 1.0, 1.0)
+        report = check_matching_empirical([x, x, x], [x, x, x], 1.0, 1.0)
+        assert report.max_residual == 0.0
 
 
 class TestCenteredCfs:
