@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -40,9 +41,6 @@ EMPIRICAL_RESIDUAL_TOL = 0.02
 UNMATCHED_ANALYTIC_MIN = 0.1
 UNMATCHED_EMPIRICAL_MIN = 0.05
 ARGMIN_AGREEMENT_TOL = 1e-6
-# `jobs` starts no thread (the simulator runs its blocks serially); the cap
-# keeps the accepted range small should it start workers again
-MAX_JOBS = 64
 # Samples per chunk that verify-matching draws and passes on at a time:
 # 32 blocks of distributions.CF_BLOCK. numpy draws a sequence in chunks
 # bit for bit as it draws it at once, so the samples do not depend on it.
@@ -132,7 +130,6 @@ CONFIG_FIELDS = {
     "out": Field(_ALL, None, _path),
     "horizon": Field("simulate optimize", 10_000, _integer(1)),
     "episodes": Field("simulate optimize", 100, _integer(2)),
-    "jobs": Field("simulate optimize", 1, _integer(1, MAX_JOBS)),
     "strategy": Field("simulate", "optimal",
                       _choice("optimal", "threshold", "always", "never", "noise_blind")),
     "beta": Field("simulate", None, _number(0.0)),
@@ -189,6 +186,16 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     for lo, hi in (("argmin_lo", "argmin_hi"), ("omega_min", "omega_max")):
         if lo in cfg and cfg[lo] >= cfg[hi]:
             _fail(lo, f"< {hi} ({cfg[hi]!r})", cfg[lo])
+    # the model, and every point of the sweep grids, must give a finite m and
+    # beta*, which SystemParams checks
+    model = ("lambda", "k", "p_t", "c")
+    for keys in (model, tuple(f"{key}_grid" for key in model)):
+        for point in itertools.product(*(np.atleast_1d(cfg.get(key, [])).tolist() for key in keys)):
+            try:
+                SystemParams(*point)
+            except ValueError as exc:
+                raise ConfigError(f"config fields {', '.join(map(repr, keys))} of {list(point)} "
+                                  f"are out of range: {exc}") from None
     return cfg
 
 
@@ -224,24 +231,19 @@ def _derived_block(p: SystemParams) -> dict:
 
 
 def _build_strategy(cfg: dict, p: SystemParams):
-    name = cfg["strategy"]
-    beta_star = analytics.optimal_threshold(p)
-    if name == "optimal":
-        return strategies.ThresholdAffineStrategy(p, beta_star), beta_star
-    if name == "threshold":
-        return strategies.ThresholdAffineStrategy(p, cfg["beta"]), cfg["beta"]
-    if name == "always":
-        return strategies.ThresholdAffineStrategy(p, 0.0), 0.0
+    name, beta = cfg["strategy"], cfg["beta"]
     if name == "never":
         return strategies.NeverTransmitStrategy(p), None
-    beta = cfg["beta"] if cfg["beta"] is not None else beta_star
-    return strategies.ThresholdAffineStrategy(p, beta, matched=False), beta
+    # `threshold` requires beta; `noise_blind` takes it and defaults to beta*
+    if name in ("optimal", "always") or beta is None:
+        beta = 0.0 if name == "always" else analytics.optimal_threshold(p)
+    return strategies.ThresholdAffineStrategy(p, beta, matched=name != "noise_blind"), beta
 
 
 def _check(name: str, estimate: simulator.MonteCarloEstimate | None, target) -> dict:
     """One checked statistic; one that could not be estimated fails with nulls."""
-    row = {"metric": name, "estimate": None, "std_error": None, "n": None,
-           "target": target, "z": None, "passed": False}
+    row = dict.fromkeys(_CSV_COLUMNS["simulate"])
+    row.update(metric=name, target=target, passed=False)
     if estimate is None:
         return row
     row.update(estimate=estimate.mean, std_error=estimate.std_error, n=estimate.n, passed=None)
@@ -260,9 +262,7 @@ def cmd_simulate(cfg: dict) -> dict:
     rng = RngHandle(cfg["seed"], cfg["stream"])
     name = cfg["strategy"]
 
-    cost = simulator.estimate_cost(
-        p, strat, cfg["horizon"], cfg["episodes"], rng, jobs=cfg["jobs"]
-    )
+    cost = simulator.estimate_cost(p, strat, cfg["horizon"], cfg["episodes"], rng)
     if name == "never":
         cost_target = 2.0 / p.lam**2
     elif name == "noise_blind":
@@ -279,13 +279,11 @@ def cmd_simulate(cfg: dict) -> dict:
         )
         if stats.problem is not None:
             print(f"error: {stats.problem}", file=sys.stderr)
-        matched = name in ("optimal", "threshold", "always")
-        rows.append(_check("mse_tx", stats.mse_tx, p.m if matched else None))
-        rows.append(_check("mse_tx_pos", stats.mse_tx_pos, p.m if matched else None))
-        rows.append(_check("mse_tx_neg", stats.mse_tx_neg, p.m if matched else None))
-        rows.append(_check("power", stats.power, p.p_t))
-        rows.append(_check("tx_frequency", stats.tx_frequency, math.exp(-p.lam * beta)))
-        rows.append(_check("bias_tx", stats.bias_tx, 0.0 if matched else None))
+        # the noise-blind decoder has no closed-form error
+        m, bias = (p.m, 0.0) if name in ("optimal", "threshold", "always") else (None, None)
+        targets = {"mse_tx": m, "mse_tx_pos": m, "mse_tx_neg": m, "power": p.p_t,
+                   "tx_frequency": math.exp(-p.lam * beta), "bias_tx": bias}
+        rows += [_check(key, getattr(stats, key), target) for key, target in targets.items()]
 
     passed = all(r["passed"] for r in rows if r["passed"] is not None)
     return {
@@ -306,7 +304,7 @@ def cmd_optimize(cfg: dict) -> dict:
     j_numeric = analytics.cost_closed_form(p, numeric).total
     strat = strategies.ThresholdAffineStrategy(p, formula)
     rng = RngHandle(cfg["seed"], cfg["stream"])
-    mc = simulator.estimate_cost(p, strat, cfg["horizon"], cfg["episodes"], rng, jobs=cfg["jobs"])
+    mc = simulator.estimate_cost(p, strat, cfg["horizon"], cfg["episodes"], rng)
 
     agreement = abs(numeric - formula)
     checks = [
@@ -323,19 +321,14 @@ def cmd_optimize(cfg: dict) -> dict:
             "passed": mc.covers(j_formula, SIGMAS),
         },
     ]
+    headline = (formula, numeric, j_formula, j_numeric, mc.mean, mc.std_error, mc.n,
+                all(c["passed"] for c in checks))
     return {
         "command": "optimize",
         "config": cfg,
         "derived": _derived_block(p),
-        "beta_star_formula": formula,
-        "beta_star_numeric": numeric,
-        "j_at_beta_star_formula": j_formula,
-        "j_at_beta_star_numeric": j_numeric,
-        "mc_cost_mean": mc.mean,
-        "mc_cost_std_error": mc.std_error,
-        "mc_cost_n": mc.n,
+        **dict(zip(_OPTIMIZE_FIELDS, headline, strict=True)),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
     }
 
 
@@ -378,35 +371,28 @@ def cmd_verify_matching(cfg: dict) -> dict:
         empirical_pass = lambda r: r > UNMATCHED_EMPIRICAL_MIN
         expectation = "residuals_above_floor"
 
-    analytic = matching.check_matching(spec)
-    # both sides draw from one handle; check_matching_empirical takes every
-    # source chunk before the first noise chunk, the order of one-shot draws
-    empirical = matching.check_matching_empirical(
-        src_chunks, noise_chunks, spec.alpha, spec.gamma, grid
-    )
-
-    analytic_json = analytic.to_json_dict()
-    empirical_json = empirical.to_json_dict()
+    reports = {
+        "analytic": (matching.check_matching(spec), analytic_pass),
+        # both sides draw from one handle; check_matching_empirical takes every
+        # source chunk before the first noise chunk, the order of one-shot draws
+        "empirical": (matching.check_matching_empirical(
+            src_chunks, noise_chunks, spec.alpha, spec.gamma, grid), empirical_pass),
+    }
+    payloads = {label: report.to_json_dict() for label, (report, _) in reports.items()}
     checks = [
         {
-            "name": "analytic_residual",
-            "value": analytic_json["max_residual"],
+            "name": f"{label}_residual",
+            "value": payloads[label]["max_residual"],
             "expectation": expectation,
-            "passed": bool(analytic_pass(analytic.max_residual)),
-        },
-        {
-            "name": "empirical_residual",
-            "value": empirical_json["max_residual"],
-            "expectation": expectation,
-            "passed": bool(empirical_pass(empirical.max_residual)),
-        },
+            "passed": bool(test(report.max_residual)),
+        }
+        for label, (report, test) in reports.items()
     ]
     return {
         "command": "verify-matching",
         "config": cfg,
         "derived": _derived_block(p),
-        "analytic": analytic_json,
-        "empirical": empirical_json,
+        **payloads,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
@@ -419,11 +405,7 @@ def cmd_sweep(cfg: dict) -> dict:
         tol=cfg["argmin_tol"],
     )
     out_rows = []
-    max_gap = 0.0
-    spot_all_pass = True
     for i, r in enumerate(rows):
-        gap = abs(r.beta_star_formula - r.beta_star_numeric)
-        max_gap = max(max_gap, gap)
         row = dict(zip(_SWEEP_COLUMNS, (r.lam, r.k, r.p_t, r.c, r.beta_star_formula,
                                         r.beta_star_numeric, r.j_at_beta_star)))
         if cfg["spot_check"]:
@@ -433,9 +415,9 @@ def cmd_sweep(cfg: dict) -> dict:
             mc = simulator.estimate_cost(p, strat, cfg["spot_horizon"], cfg["spot_episodes"], rng)
             row.update(zip(_SPOT_COLUMNS,
                            (mc.mean, mc.std_error, mc.covers(r.j_at_beta_star, SIGMAS))))
-            spot_all_pass = spot_all_pass and row["j_mc_within_4se"]
         out_rows.append(row)
 
+    max_gap = max(abs(r.beta_star_formula - r.beta_star_numeric) for r in rows)
     checks = [
         {
             "name": "argmin_agreement_all_rows",
@@ -449,7 +431,7 @@ def cmd_sweep(cfg: dict) -> dict:
             "name": "mc_spot_checks",
             "value": None,
             "tolerance": SIGMAS,
-            "passed": spot_all_pass,
+            "passed": all(row["j_mc_within_4se"] for row in out_rows),
         })
     return {
         "command": "sweep",

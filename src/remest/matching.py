@@ -14,14 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import ExponentialDist, GammaDist, char_fn, empirical_char_fn
+from .distributions import ExponentialDist, GammaDist, _require_positive, char_fn, empirical_char_fn
 from .strategies import SystemParams
 
 __all__ = [
     "DEFAULT_OMEGA_GRID",
     "EMPIRICAL_MODULUS_FLOOR",
     "MatchSpec",
-    "CfPoint",
     "CfResidualReport",
     "check_matching",
     "check_matching_empirical",
@@ -51,10 +50,8 @@ class MatchSpec:
     omega_grid: tuple[float, ...] = DEFAULT_OMEGA_GRID
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not np.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        _require_positive("alpha", self.alpha)
+        _require_positive("gamma", self.gamma)
         grid = tuple(float(w) for w in self.omega_grid)
         if len(grid) == 0:
             raise ValueError("omega_grid must be non-empty")
@@ -63,66 +60,58 @@ class MatchSpec:
         object.__setattr__(self, "omega_grid", grid)
 
 
-@dataclass(frozen=True)
-class CfPoint:
-    """Residual record at one grid point.  ``reliable`` is False where the
-    noise CF modulus was zero (analytic check) or below the empirical floor,
-    in which case ``rhs`` and the residual are NaN and the residual is
-    excluded from the maximum."""
-
-    omega: float
-    lhs: complex
-    rhs: complex
-    residual: float
-    reliable: bool = True
-
-
 def _json_float(value: float) -> float | None:
     # JSON has no NaN; an unreliable value is written as null
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CfResidualReport:
-    """Per-point residuals; ``max_residual`` is NaN when no point is reliable."""
+    """Residuals on the grid sorted by omega, one array entry per point:
+    ``lhs`` and ``rhs`` complex, ``residual`` float, ``reliable`` bool.  A
+    point is unreliable where the noise CF modulus was zero (analytic check)
+    or below the empirical floor; its ``rhs`` and residual are then NaN and
+    the residual is excluded from ``max_residual``, which is NaN when no
+    point is reliable."""
 
-    points: tuple[CfPoint, ...]
+    omega: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: np.ndarray
+    reliable: np.ndarray
     max_residual: float
-
-    @property
-    def n_unreliable(self) -> int:
-        return sum(not p.reliable for p in self.points)
 
     def to_json_dict(self) -> dict:
         """Strict-JSON payload: every NaN (an unreliable point's ``rhs`` and
         residual, or the maximum over no reliable point) becomes None."""
+        columns = (self.omega, self.lhs, self.rhs, self.residual, self.reliable)
         return {
             "max_residual": _json_float(self.max_residual),
-            "n_points": len(self.points),
-            "n_unreliable": self.n_unreliable,
+            "n_points": self.omega.size,
+            "n_unreliable": int(np.count_nonzero(~self.reliable)),
             "points": [
                 {
-                    "omega": p.omega,
-                    "lhs_re": _json_float(p.lhs.real),
-                    "lhs_im": _json_float(p.lhs.imag),
-                    "rhs_re": _json_float(p.rhs.real),
-                    "rhs_im": _json_float(p.rhs.imag),
-                    "residual": _json_float(p.residual),
-                    "reliable": p.reliable,
+                    "omega": omega,
+                    "lhs_re": _json_float(lhs.real),
+                    "lhs_im": _json_float(lhs.imag),
+                    "rhs_re": _json_float(rhs.real),
+                    "rhs_im": _json_float(rhs.imag),
+                    "residual": _json_float(residual),
+                    "reliable": reliable,
                 }
-                for p in self.points
+                for omega, lhs, rhs, residual, reliable in zip(*(c.tolist() for c in columns))
             ],
         }
 
 
-def _eval_cf(fn: Callable, omega: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(omega), dtype=np.complex128)
-        if out.shape == omega.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([fn(float(w)) for w in omega], dtype=np.complex128)
+def _cf_values(fn: Callable, omega: np.ndarray) -> np.ndarray:
+    """``fn`` at every grid point; a CF maps an array of omegas to one
+    complex value per point."""
+    out = np.asarray(fn(omega), dtype=np.complex128)
+    if out.shape != omega.shape:
+        raise ValueError(f"a CF must return one value per omega point, shape {omega.shape}, "
+                         f"got shape {out.shape}")
+    return out
 
 
 def _continuous_power(values: np.ndarray, exponent: float, usable: np.ndarray,
@@ -154,21 +143,13 @@ def _continuous_power(values: np.ndarray, exponent: float, usable: np.ndarray,
     return out
 
 
-def _build_report(omega: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+def _build_report(omega: np.ndarray, lhs: np.ndarray, noise: np.ndarray, gamma: float,
                   reliable: np.ndarray) -> CfResidualReport:
+    """``lhs`` against ``noise``^gamma on the sorted grid ``omega``."""
+    rhs = _continuous_power(noise, gamma, reliable, int(np.argmin(np.abs(omega))))
     residual = np.where(reliable, np.abs(lhs - rhs), np.nan)
-    points = tuple(
-        CfPoint(
-            omega=float(omega[i]),
-            lhs=complex(lhs[i]),
-            rhs=complex(rhs[i]),
-            residual=float(residual[i]),
-            reliable=bool(reliable[i]),
-        )
-        for i in range(omega.size)
-    )
-    max_residual = float(np.max(residual[reliable])) if reliable.any() else float("nan")
-    return CfResidualReport(points=points, max_residual=max_residual)
+    top = float(np.max(residual[reliable])) if reliable.any() else float("nan")
+    return CfResidualReport(omega, lhs, rhs, residual, reliable, top)
 
 
 def check_matching(spec: MatchSpec) -> CfResidualReport:
@@ -179,12 +160,9 @@ def check_matching(spec: MatchSpec) -> CfResidualReport:
     vanishes have no well-defined power and are reported unreliable.
     """
     omega = np.sort(np.asarray(spec.omega_grid, dtype=np.float64), kind="stable")
-    lhs = _eval_cf(spec.source_cf, spec.alpha * omega)
-    noise = _eval_cf(spec.noise_cf, omega)
-    usable = np.abs(noise) > 0.0
-    anchor = int(np.argmin(np.abs(omega)))
-    rhs = _continuous_power(noise, spec.gamma, usable, anchor)
-    return _build_report(omega, lhs, rhs, usable)
+    lhs = _cf_values(spec.source_cf, spec.alpha * omega)
+    noise = _cf_values(spec.noise_cf, omega)
+    return _build_report(omega, lhs, noise, spec.gamma, np.abs(noise) > 0.0)
 
 
 def _mean_cf(chunks, omega: np.ndarray) -> tuple[np.ndarray | None, int]:
@@ -236,10 +214,8 @@ def check_matching_empirical(
     the concatenated samples up to roundoff.  Memory is one chunk at a time
     plus the CF's few hundred KiB of blocks, whatever the sample count.
     """
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    _require_positive("alpha", alpha)
+    _require_positive("gamma", gamma)
     grid = DEFAULT_OMEGA_GRID if omega_grid is None else omega_grid
     omega = np.sort(np.asarray(grid, dtype=np.float64), kind="stable")
     if omega.size == 0 or not np.all(np.isfinite(omega)):
@@ -256,34 +232,26 @@ def check_matching_empirical(
             f"need at least {least} samples per side, "
             f"got {n_src} source and {n_noise} noise"
         )
-    reliable = np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR
-    anchor = int(np.argmin(np.abs(omega)))
-    rhs = _continuous_power(noise, gamma, reliable, anchor)
-    return _build_report(omega, lhs, rhs, reliable)
+    return _build_report(omega, lhs, noise, gamma, np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR)
+
+
+def _centered_cf(dist) -> Callable:
+    """CF of X - E[X] where X is drawn from ``dist``."""
+    def cf(omega):
+        w = np.asarray(omega, dtype=np.float64)
+        return char_fn(dist, w) * np.exp(-1j * w * dist.mean)
+
+    return cf
 
 
 def centered_exponential_cf(rate: float) -> Callable:
     """CF of X - 1/rate where X is Exponential(rate)."""
-    dist = ExponentialDist(rate)
-    shift = 1.0 / rate
-
-    def cf(omega):
-        w = np.asarray(omega, dtype=np.float64)
-        return char_fn(dist, w) * np.exp(-1j * w * shift)
-
-    return cf
+    return _centered_cf(ExponentialDist(rate))
 
 
 def centered_gamma_cf(shape: float, scale: float) -> Callable:
     """CF of V - shape·scale where V is Gamma(shape, scale)."""
-    dist = GammaDist(shape, scale)
-    shift = shape * scale
-
-    def cf(omega):
-        w = np.asarray(omega, dtype=np.float64)
-        return char_fn(dist, w) * np.exp(-1j * w * shift)
-
-    return cf
+    return _centered_cf(GammaDist(shape, scale))
 
 
 def matched_pair_spec(params: SystemParams,

@@ -14,7 +14,7 @@ block size.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +61,6 @@ class MonteCarloEstimate:
     def covers(self, target: float, sigmas: float = 4.0) -> bool:
         """True when ``target`` lies within ``sigmas`` standard errors."""
         return abs(self.mean - target) <= sigmas * self.std_error
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ class EpisodeTrace:
     c·(#transmissions) + sum of squared errors.
     """
 
-    params: SystemParams
     horizon: int
     x: np.ndarray
     u: np.ndarray
@@ -254,7 +250,6 @@ def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) 
     for _ in _simulate(p, strat, horizon, 1, rng, record):
         pass
     return EpisodeTrace(
-        params=p,
         horizon=horizon,
         x=x,
         u=u,
@@ -274,7 +269,6 @@ def estimate_cost(
     horizon: int,
     n_episodes: int,
     rng: RngHandle,
-    jobs: int = 1,
 ) -> MonteCarloEstimate:
     """Mean per-stage cost across independent episodes.
 
@@ -282,8 +276,7 @@ def estimate_cost(
     summed in block order, so repeated calls with an identically keyed
     handle and the same shape reuse identical draws (the
     common-random-numbers hook for strategy comparisons).  Memory is
-    O(block + episodes).  Blocks run serially: ``jobs`` is accepted and
-    does not change the result.
+    O(block + episodes).
     """
     n_episodes = int(n_episodes)
     if n_episodes < 2:
@@ -313,10 +306,6 @@ class ConditionalStats:
     bias_tx: MonteCarloEstimate | None
     n_transmissions: int
     problem: str | None = None
-
-    def to_json_dict(self) -> dict:
-        # asdict turns each MonteCarloEstimate into its to_json_dict() form
-        return {k: v for k, v in asdict(self).items() if k != "problem"}
 
 
 def estimate_conditional_stats(
@@ -366,16 +355,7 @@ class StationarityReport:
 
     stage_means: tuple[MonteCarloEstimate, ...]
     max_pairwise_z: float
-    threshold: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stage_means": [e.to_json_dict() for e in self.stage_means],
-            "max_pairwise_z": self.max_pairwise_z,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 def stationarity_check(
@@ -424,6 +404,5 @@ def stationarity_check(
     return StationarityReport(
         stage_means=estimates,
         max_pairwise_z=max_z,
-        threshold=threshold,
         passed=bool(max_z < threshold),
     )

@@ -7,9 +7,12 @@ pluggable interface.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .distributions import _require_positive
 
 __all__ = [
     "SystemParams",
@@ -39,9 +42,14 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "k", "p_t", "c"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _require_positive(name, getattr(self, name))
+        # an extreme lam leaves m, or beta* = sqrt(c + m), at 0 or infinite
+        try:
+            m = self.m
+        except ArithmeticError:  # lam**2 beyond the float range, or rounded to 0
+            m = 0.0 if self.lam > 1.0 else math.inf
+        _require_positive("m", m)
+        _require_positive("beta*", math.sqrt(self.c + m))
 
     @property
     def theta(self) -> float:

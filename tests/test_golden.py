@@ -10,7 +10,9 @@ what moved and by how much.
 
 A change that moves report values on purpose rewrites the entry of the
 running key with ``python tests/test_golden.py`` and states the old and new
-headline values in CHANGES.md.
+headline values in CHANGES.md. Before it rewrites the file, that command
+prints each case whose JSON or CSV digest changed, with the headline values
+recorded for it and the new ones.
 """
 
 import hashlib
@@ -77,9 +79,21 @@ def test_report_digests(name, tmp_path):
     )
 
 
+def headline(entry: dict) -> str:
+    return f"passed={entry.get('passed')} checks={json.dumps(entry.get('checks'), sort_keys=True)}"
+
+
 if __name__ == "__main__":
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    recorded = table.get(platform_key(), {})
     with tempfile.TemporaryDirectory() as tmp:
         table[platform_key()] = {name: run_case(name, Path(tmp)) for name in CASES}
+    for name, entry in table[platform_key()].items():
+        old = recorded.get(name, {})
+        moved = [key for key in ("json_sha256", "csv_sha256") if old.get(key) != entry[key]]
+        if moved:
+            print(f"{name}: {' and '.join(moved)} changed")
+            print(f"  old: {headline(old)}")
+            print(f"  new: {headline(entry)}")
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"{DIGESTS}: wrote {len(CASES)} entries for {platform_key()}")
