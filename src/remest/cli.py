@@ -199,6 +199,11 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     return cfg
 
 
+# Every check of every command is one record with these keys; see _check.
+_CHECK_COLUMNS = ("metric", "estimate", "std_error", "n", "target", "z", "tolerance", "basis",
+                  "passed")
+_SE_RULE = f"<= {SIGMAS:g} sample SE, no multiplicity correction"
+
 # The rows of each command's CSV table and their columns. An optimize report
 # is one row per field. A sweep row, in JSON too, is a SweepRow under these
 # names, with the spot-check columns only when spot checks ran.
@@ -206,7 +211,7 @@ _SWEEP_COLUMNS = ("lambda", "k", "P_T", "c", "beta_star_formula", "beta_star_num
                   "J_at_beta_star")
 _SPOT_COLUMNS = ("j_mc_mean", "j_mc_std_error", "j_mc_within_4se")
 _CSV_COLUMNS = {
-    "simulate": ("metric", "estimate", "std_error", "n", "target", "z", "passed"),
+    "simulate": _CHECK_COLUMNS,
     "optimize": ("field", "value"),
     "verify-matching": ("check", "omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"),
     "sweep": _SWEEP_COLUMNS + _SPOT_COLUMNS,
@@ -240,19 +245,37 @@ def _build_strategy(cfg: dict, p: SystemParams):
     return strategies.ThresholdAffineStrategy(p, beta, matched=name != "noise_blind"), beta
 
 
-def _check(name: str, estimate: simulator.MonteCarloEstimate | None, target) -> dict:
-    """One checked statistic; one that could not be estimated fails with nulls."""
-    row = dict.fromkeys(_CSV_COLUMNS["simulate"])
-    row.update(metric=name, target=target, passed=False)
-    if estimate is None:
-        return row
-    row.update(estimate=estimate.mean, std_error=estimate.std_error, n=estimate.n, passed=None)
-    if target is not None:
-        z = estimate.z_score(target)
-        # a zero standard error with a gap gives an infinite z, which JSON
-        # cannot hold; such a row fails anyway
-        row.update(z=z if math.isfinite(z) else None, passed=estimate.covers(target, SIGMAS))
+def _check(metric: str, estimate, tolerance, basis: str, passed, **diagnostics) -> dict:
+    """One check record: the statistic, the tolerance it is graded against,
+    the rule (``basis``) and the verdict, None for a row that is not graded."""
+    row = dict.fromkeys(_CHECK_COLUMNS)
+    row.update(metric=metric, estimate=estimate, tolerance=tolerance, basis=basis,
+               passed=passed, **diagnostics)
     return row
+
+
+def _mc_check(metric: str, estimate: simulator.MonteCarloEstimate | None, target) -> dict:
+    """A Monte Carlo statistic against its closed-form target: not graded
+    without a target, and failed with nulls when it could not be estimated."""
+    basis = f"|estimate - target| {_SE_RULE}"
+    if estimate is None:
+        return _check(metric, None, SIGMAS, basis, False, target=target)
+    graded = target is not None
+    return _check(metric, estimate.mean, SIGMAS, basis,
+                  estimate.covers(target, SIGMAS) if graded else None,
+                  std_error=estimate.std_error, n=estimate.n, target=target,
+                  z=estimate.z_score(target) if graded else None)
+
+
+def _argmin_check(metric: str, gap: float) -> dict:
+    return _check(metric, gap, ARGMIN_AGREEMENT_TOL, "|numeric - formula| < tolerance",
+                  gap < ARGMIN_AGREEMENT_TOL)
+
+
+def _report(command: str, cfg: dict, checks: list[dict], **body) -> dict:
+    """A command's report; it passed when no graded check failed."""
+    passed = all(c["passed"] for c in checks if c["passed"] is not None)
+    return {"command": command, "config": cfg, **body, "checks": checks, "passed": passed}
 
 
 def cmd_simulate(cfg: dict) -> dict:
@@ -269,7 +292,7 @@ def cmd_simulate(cfg: dict) -> dict:
         cost_target = None
     else:
         cost_target = analytics.cost_closed_form(p, beta).total
-    rows = [_check("per_stage_cost", cost, cost_target)]
+    checks = [_mc_check("per_stage_cost", cost, cost_target)]
 
     if name != "never":
         # a separate substream so the conditional episode is independent of
@@ -283,16 +306,8 @@ def cmd_simulate(cfg: dict) -> dict:
         m, bias = (p.m, 0.0) if name in ("optimal", "threshold", "always") else (None, None)
         targets = {"mse_tx": m, "mse_tx_pos": m, "mse_tx_neg": m, "power": p.p_t,
                    "tx_frequency": math.exp(-p.lam * beta), "bias_tx": bias}
-        rows += [_check(key, getattr(stats, key), target) for key, target in targets.items()]
-
-    passed = all(r["passed"] for r in rows if r["passed"] is not None)
-    return {
-        "command": "simulate",
-        "config": cfg,
-        "derived": {**_derived_block(p), "beta": beta, "sigmas": SIGMAS},
-        "checks": rows,
-        "passed": passed,
-    }
+        checks += [_mc_check(key, getattr(stats, key), target) for key, target in targets.items()]
+    return _report("simulate", cfg, checks, derived={**_derived_block(p), "beta": beta})
 
 
 def cmd_optimize(cfg: dict) -> dict:
@@ -306,30 +321,12 @@ def cmd_optimize(cfg: dict) -> dict:
     rng = RngHandle(cfg["seed"], cfg["stream"])
     mc = simulator.estimate_cost(p, strat, cfg["horizon"], cfg["episodes"], rng)
 
-    agreement = abs(numeric - formula)
-    checks = [
-        {
-            "name": "argmin_agreement",
-            "value": agreement,
-            "tolerance": ARGMIN_AGREEMENT_TOL,
-            "passed": agreement < ARGMIN_AGREEMENT_TOL,
-        },
-        {
-            "name": "mc_cost_covers_closed_form",
-            "value": mc.z_score(j_formula),
-            "tolerance": SIGMAS,
-            "passed": mc.covers(j_formula, SIGMAS),
-        },
-    ]
-    headline = (formula, numeric, j_formula, j_numeric, mc.mean, mc.std_error, mc.n,
-                all(c["passed"] for c in checks))
-    return {
-        "command": "optimize",
-        "config": cfg,
-        "derived": _derived_block(p),
-        **dict(zip(_OPTIMIZE_FIELDS, headline, strict=True)),
-        "checks": checks,
-    }
+    checks = [_argmin_check("argmin_agreement", abs(numeric - formula)),
+              _mc_check("mc_cost_covers_closed_form", mc, j_formula)]
+    # every optimize field but the last, passed, which _report adds
+    headline = (formula, numeric, j_formula, j_numeric, mc.mean, mc.std_error, mc.n)
+    return _report("optimize", cfg, checks, derived=_derived_block(p),
+                   **dict(zip(_OPTIMIZE_FIELDS[:-1], headline, strict=True)))
 
 
 def _chunks(n: int, draw: Callable[[int], np.ndarray]):
@@ -345,14 +342,13 @@ def cmd_verify_matching(cfg: dict) -> dict:
     rng = RngHandle(cfg["seed"], cfg["stream"])
     n = cfg["samples"]
 
-    if cfg["pair"] == "matched":
+    matched = cfg["pair"] == "matched"
+    if matched:
         spec = matching.matched_pair_spec(p, grid)
         expo, gam = ExponentialDist(p.lam), GammaDist(p.k, p.theta)
         src_chunks = _chunks(n, lambda m: sample_exponential(expo, rng, size=m) - 1.0 / p.lam)
         noise_chunks = _chunks(n, lambda m: sample_gamma(gam, rng, size=m) - p.k * p.theta)
-        analytic_pass = lambda r: r < ANALYTIC_RESIDUAL_TOL
-        empirical_pass = lambda r: r < EMPIRICAL_RESIDUAL_TOL
-        expectation = "residuals_below_tolerance"
+        tolerances = {"analytic": ANALYTIC_RESIDUAL_TOL, "empirical": EMPIRICAL_RESIDUAL_TOL}
     else:
         # deliberately unmatched: raw Laplace source vs raw gamma noise with
         # unit gains, so the residual must be visibly large
@@ -367,35 +363,24 @@ def cmd_verify_matching(cfg: dict) -> dict:
         )
         src_chunks = _chunks(n, lambda m: sample_laplace(lap, rng, size=m))
         noise_chunks = _chunks(n, lambda m: sample_gamma(gam, rng, size=m))
-        analytic_pass = lambda r: r > UNMATCHED_ANALYTIC_MIN
-        empirical_pass = lambda r: r > UNMATCHED_EMPIRICAL_MIN
-        expectation = "residuals_above_floor"
+        tolerances = {"analytic": UNMATCHED_ANALYTIC_MIN, "empirical": UNMATCHED_EMPIRICAL_MIN}
 
     reports = {
-        "analytic": (matching.check_matching(spec), analytic_pass),
+        "analytic": matching.check_matching(spec),
         # both sides draw from one handle; check_matching_empirical takes every
         # source chunk before the first noise chunk, the order of one-shot draws
-        "empirical": (matching.check_matching_empirical(
-            src_chunks, noise_chunks, spec.alpha, spec.gamma, grid), empirical_pass),
+        "empirical": matching.check_matching_empirical(
+            src_chunks, noise_chunks, spec.alpha, spec.gamma, grid),
     }
-    payloads = {label: report.to_json_dict() for label, (report, _) in reports.items()}
+    basis = f"max reliable residual {'<' if matched else '>'} tolerance"
     checks = [
-        {
-            "name": f"{label}_residual",
-            "value": payloads[label]["max_residual"],
-            "expectation": expectation,
-            "passed": bool(test(report.max_residual)),
-        }
-        for label, (report, test) in reports.items()
+        _check(f"{label}_residual", report.max_residual, tolerances[label], basis,
+               bool(report.max_residual < tolerances[label] if matched
+                    else report.max_residual > tolerances[label]))
+        for label, report in reports.items()
     ]
-    return {
-        "command": "verify-matching",
-        "config": cfg,
-        "derived": _derived_block(p),
-        **payloads,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _report("verify-matching", cfg, checks, derived=_derived_block(p),
+                   **{label: report.to_json_dict() for label, report in reports.items()})
 
 
 def cmd_sweep(cfg: dict) -> dict:
@@ -417,40 +402,32 @@ def cmd_sweep(cfg: dict) -> dict:
                            (mc.mean, mc.std_error, mc.covers(r.j_at_beta_star, SIGMAS))))
         out_rows.append(row)
 
-    max_gap = max(abs(r.beta_star_formula - r.beta_star_numeric) for r in rows)
-    checks = [
-        {
-            "name": "argmin_agreement_all_rows",
-            "value": max_gap,
-            "tolerance": ARGMIN_AGREEMENT_TOL,
-            "passed": max_gap < ARGMIN_AGREEMENT_TOL,
-        },
-    ]
+    checks = [_argmin_check("argmin_agreement_all_rows",
+                            max(abs(r.beta_star_formula - r.beta_star_numeric) for r in rows))]
     if cfg["spot_check"]:
-        checks.append({
-            "name": "mc_spot_checks",
-            "value": None,
-            "tolerance": SIGMAS,
-            "passed": all(row["j_mc_within_4se"] for row in out_rows),
-        })
-    return {
-        "command": "sweep",
-        "config": cfg,
-        "n_rows": len(out_rows),
-        "rows": out_rows,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+        checks.append(_check("mc_spot_checks", None, SIGMAS,
+                             f"every row's |j_mc_mean - J_at_beta_star| {_SE_RULE}",
+                             all(row["j_mc_within_4se"] for row in out_rows)))
+    return _report("sweep", cfg, checks, n_rows=len(out_rows), rows=out_rows)
+
+
+def _strict(value):
+    """``value`` with every non-finite float, which JSON cannot hold, as None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_json(report: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_strict(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _csv_cell(value) -> str:
-    if value is None:
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -532,7 +509,7 @@ def main(argv=None) -> int:
         return 2
 
     status = "PASS" if report["passed"] else "FAIL"
-    graded = [c for c in report["checks"] if c.get("passed") is not None]
+    graded = [c for c in report["checks"] if c["passed"] is not None]
     n_pass = sum(1 for c in graded if c["passed"])
     print(f"{args.command}: {status} ({n_pass}/{len(graded)} checks) -> {out}")
     return 0 if report["passed"] else 1

@@ -142,7 +142,7 @@ class _Block(NamedTuple):
     (rows, stages) arrays ``x``, ``v`` and ``u``; the flat row-major indices
     ``on`` of the transmitting entries and their source ``x_on``, noise
     ``v_on``, payload ``y_on``, sign ``s_on`` and estimate ``xhat_on``.
-    Every other entry is estimated as ``silent``."""
+    Every other entry is estimated as 0."""
 
     r0: int
     r1: int
@@ -157,7 +157,6 @@ class _Block(NamedTuple):
     y_on: np.ndarray
     s_on: np.ndarray
     xhat_on: np.ndarray
-    silent: float
 
 
 def _layout(horizon: int, n_episodes: int):
@@ -186,7 +185,6 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     source = LaplaceDist(0.0, 1.0 / p.lam)
     noise = GammaDist(p.k, p.theta)
-    silent = float(strat.silent_estimate())
 
     # one call per block, so a block's arrays are freed before the next is drawn
     def block(i, r0, r1, c0, c1):
@@ -206,7 +204,7 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
             s_on = payload_sign(x_on).astype(np.int8)
             xhat_on = np.asarray(strat.decode(t_on, y_on + v_on, s_on), dtype=np.float64)
         return reduce(_Block(r0, r1, c0, c1, x, v, u, on, x_on, v_on, y_on, s_on,
-                             xhat_on, silent))
+                             xhat_on))
 
     for i, bounds in enumerate(_layout(horizon, int(n_episodes))):
         yield block(i, *bounds)
@@ -214,7 +212,7 @@ def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
 
 def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
     """c·u + (x - x_hat)² of every entry of the block, in a new array."""
-    cost = np.square(b.x - b.silent)
+    cost = np.square(b.x)
     np.put(cost, b.on, np.square(b.x_on - b.xhat_on) + p.c)
     return cost
 
@@ -239,7 +237,7 @@ def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) 
 
     def record(b: _Block) -> None:
         cols = slice(b.c0, b.c1)
-        x[cols], v[cols], u[cols], x_hat[cols] = b.x[0], b.v[0], b.u[0], b.silent
+        x[cols], v[cols], u[cols], x_hat[cols] = b.x[0], b.v[0], b.u[0], 0.0
         on = b.on + b.c0  # one row: flat indices are stage offsets
         x_hat[on] = b.xhat_on
         y[on] = b.y_on

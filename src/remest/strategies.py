@@ -80,7 +80,7 @@ class Strategy(abc.ABC):
     Methods are elementwise over numpy arrays.  ``t`` carries 1-based stage
     indices so time-varying policies are expressible; stationary policies
     ignore it.  ``encode``/``decode`` are only ever called on transmitting
-    entries.
+    entries; the estimate of a silent stage is 0.
     """
 
     @abc.abstractmethod
@@ -94,10 +94,6 @@ class Strategy(abc.ABC):
     @abc.abstractmethod
     def decode(self, t, y_tilde, s):
         """Source estimate for entries that transmit."""
-
-    def silent_estimate(self) -> float:
-        """Estimate emitted on silent stages."""
-        return 0.0
 
 
 @dataclass(frozen=True)

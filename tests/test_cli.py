@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from remest.cli import _COMMANDS, CONFIG_FIELDS, REQUIRED, ConfigError, load_config, main
+from remest.cli import (
+    _CHECK_COLUMNS,
+    _COMMANDS,
+    CONFIG_FIELDS,
+    REQUIRED,
+    ConfigError,
+    load_config,
+    main,
+)
 
 REF_PARAMS = {"lambda": 1.0, "k": 2.0, "p_t": 1.0, "c": 1.0}
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,7 +83,7 @@ class TestSimulate:
                            out=str(out), **{"format": "csv"})
         assert main(["simulate", "--config", str(cfg)]) == 0
         rows = list(csv.reader(out.open()))
-        assert rows[0] == ["metric", "estimate", "std_error", "n", "target", "z", "passed"]
+        assert rows[0] == list(_CHECK_COLUMNS)
         assert len(rows) == 8
 
     def test_default_output_name(self, tmp_path, monkeypatch):
@@ -240,6 +248,62 @@ class TestValidation:
                            out=str(tmp_path / "no_such_dir" / "report.json"))
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "report" in capsys.readouterr().err
+
+
+class TestCheckRecord:
+    """Every command writes its checks in one shape, and its verdict is the
+    conjunction of the graded checks."""
+
+    SMALL = {
+        "simulate": {"strategy": "noise_blind", "horizon": 200, "episodes": 5},
+        "optimize": {"horizon": 200, "episodes": 5},
+        "verify-matching": {"samples": 10_000, "omega_points": 11},
+        "sweep": {"lambda_grid": [1.0], "k_grid": [2.0], "p_t_grid": [1.0, 4.0],
+                  "c_grid": [1.0], "spot_check": True, "spot_horizon": 50, "spot_episodes": 5},
+    }
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_one_shape_and_verdict(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", out=str(out), **self.SMALL[command])
+        code = main([command, "--config", str(cfg)])
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert code == (0 if report["passed"] else 1)
+        assert report["checks"]
+        for check in report["checks"]:
+            assert check.keys() == set(_CHECK_COLUMNS), check
+            assert isinstance(check["basis"], str) and check["basis"], check
+        graded = [c["passed"] for c in report["checks"] if c["passed"] is not None]
+        assert report["passed"] is all(graded)
+        if command == "simulate":  # the noise-blind decoder has no closed-form error
+            assert None in [c["passed"] for c in report["checks"]]
+
+
+class TestNonFiniteValues:
+    """Squares of draws overflow at the edge of the float range, even where
+    the model's closed forms are finite. A non-finite value is written as
+    null in JSON and as an empty cell in CSV, and its check fails."""
+
+    @pytest.mark.parametrize("command, fields, failed", [
+        ("simulate", {"lambda": 1.1e-154, "k": 1},
+         {"per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg"}),
+        ("simulate", {"lambda": 8e-155, "k": 1e20, "strategy": "never"}, {"per_stage_cost"}),
+        ("optimize", {"lambda": 8e-155, "k": 1e20},
+         {"argmin_agreement", "mc_cost_covers_closed_form"}),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_written_as_null(self, tmp_path, command, fields, failed):
+        out, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+        cfg = write_config(tmp_path / "cfg.json", horizon=100, episodes=10, out=str(out),
+                           **fields)
+        assert main([command, "--config", str(cfg)]) == 1
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert report["passed"] is False
+        assert {c["metric"] for c in report["checks"] if c["passed"] is False} == failed
+        assert main([command, "--config", str(cfg), "--format", "csv",
+                     "--out", str(out_csv)]) == 1
+        cells = [cell.lower() for row in csv.reader(out_csv.open()) for cell in row]
+        assert not {"nan", "inf", "-inf"} & set(cells), cells
 
 
 class TestDeterminism:

@@ -63,8 +63,7 @@ def run_case(name: str, directory: Path) -> dict:
         entry[f"{fmt}_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
     report = json.loads((directory / f"{name}.json").read_text())
     entry["passed"] = report["passed"]
-    entry["checks"] = {c.get("metric", c.get("name")): c.get("estimate", c.get("value"))
-                       for c in report["checks"]}
+    entry["checks"] = {c["metric"]: c["estimate"] for c in report["checks"]}
     return entry
 
 

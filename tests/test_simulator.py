@@ -358,7 +358,7 @@ def _reference_blocks(p, strat, horizon, n_episodes, rng):
         v = sample_gamma(noise, sub, size=x.size).reshape(shape)
         t = np.arange(c0 + 1, c1 + 1)
         u = np.asarray(strat.transmit(t, x), dtype=bool)
-        x_hat = np.full(shape, float(strat.silent_estimate()))
+        x_hat = np.zeros(shape)
         y_on, s_on = np.empty(0), np.empty(0, dtype=np.int8)
         if u.any():
             t_on = np.broadcast_to(t, shape)[u]

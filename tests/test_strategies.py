@@ -93,10 +93,6 @@ class TestDecoder:
         expected = 0.9 / 3.0 + 1.0 / 3.0 + 1.0
         np.testing.assert_allclose(x_hat, [expected, -expected], rtol=0.0, atol=1e-14)
 
-    def test_silent_stage_decodes_to_zero(self):
-        assert ThresholdAffineStrategy(REF, 1.0).silent_estimate() == 0.0
-        assert NeverTransmitStrategy(REF).silent_estimate() == 0.0
-
     def test_odd_symmetry(self):
         strat = ThresholdAffineStrategy(REF, 0.7)
         y = np.linspace(-8.0, 8.0, 33)
