@@ -13,6 +13,8 @@ from typing import Sequence
 from .strategies import SystemParams
 
 __all__ = [
+    "ARGMIN_START",
+    "ARGMIN_TOL",
     "CostBreakdown",
     "cost_closed_form",
     "cost_derivative",
@@ -95,36 +97,32 @@ def optimal_threshold(p: SystemParams) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+# The golden-section search starts from the bracket [0, ARGMIN_START] and
+# stops when the bracket is narrower than ARGMIN_TOL.
+ARGMIN_START = 10.0
+ARGMIN_TOL = 1e-8
 
 
-def numeric_argmin(p: SystemParams, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Golden-section minimizer of the closed-form cost over [lo, hi].
+def numeric_argmin(p: SystemParams) -> float:
+    """Golden-section minimizer of the closed-form cost over [0, hi].
 
     Deliberately independent of :func:`cost_derivative` and of the sqrt(c+m)
-    formula, so it can serve as an oracle for both.  Requires
-    0 <= lo < hi and tol > 0; the cost is unimodal on (0, inf), so the
-    bracket only needs to contain the minimizer.
+    formula, so it can serve as an oracle for both.  The bracket is found
+    from the cost alone: ``hi`` starts at ARGMIN_START and doubles while
+    J(hi) < J(hi/2).  The cost is unimodal on (0, inf), so the minimizer then
+    lies below ``hi``; a cost flat in float64 stops the doubling too.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("bounds must be finite")
-    if lo < 0.0 or hi <= lo:
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
     def objective(b: float) -> float:
         return cost_closed_form(p, b).total
 
-    dist = hi - lo
-    if dist <= tol:
-        return 0.5 * (lo + hi)
-    n_iter = int(math.ceil(math.log(tol / dist) / math.log(_INV_PHI)))
-    a, b = lo, hi
-    c_pt = a + _INV_PHI_SQ * dist
-    d_pt = a + _INV_PHI * dist
-    yc = objective(c_pt)
-    yd = objective(d_pt)
-    for _ in range(max(n_iter - 1, 0)):
+    hi = ARGMIN_START
+    while objective(hi) < objective(hi / 2.0):
+        hi *= 2.0
+    n_iter = int(math.ceil(math.log(ARGMIN_TOL / hi) / math.log(_INV_PHI)))
+    a, b, dist = 0.0, hi, hi
+    c_pt, d_pt = _INV_PHI_SQ * dist, _INV_PHI * dist
+    yc, yd = objective(c_pt), objective(d_pt)
+    for _ in range(n_iter - 1):
         if yc < yd:
             b, d_pt, yd = d_pt, c_pt, yc
             dist *= _INV_PHI
@@ -154,9 +152,6 @@ def threshold_sweep(
     shapes: Sequence[float] = SWEEP_SHAPES,
     powers: Sequence[float] = SWEEP_POWERS,
     costs: Sequence[float] = SWEEP_COSTS,
-    lo: float = 0.0,
-    hi: float = 10.0,
-    tol: float = 1e-8,
 ) -> list[SweepRow]:
     """Formula vs golden-section optimal threshold over a parameter grid.
 
@@ -170,7 +165,7 @@ def threshold_sweep(
                 for c in costs:
                     p = SystemParams(lam=lam, k=k, p_t=p_t, c=c)
                     formula = optimal_threshold(p)
-                    numeric = numeric_argmin(p, lo, hi, tol)
+                    numeric = numeric_argmin(p)
                     rows.append(
                         SweepRow(
                             lam=lam,

@@ -133,10 +133,8 @@ CONFIG_FIELDS = {
     "strategy": Field("simulate", "optimal",
                       _choice("optimal", "threshold", "always", "never", "noise_blind")),
     "beta": Field("simulate", None, _number(0.0)),
-    "argmin_lo": Field("optimize", 0.0, _number(0.0)),
-    "argmin_hi": Field("optimize", 10.0, _number()),
     "pair": Field("verify-matching", "matched", _choice("matched", "unmatched")),
-    "samples": Field("verify-matching", 1_000_000, _integer(10_000)),
+    "samples": Field("verify-matching", 1_000_000, _integer(matching.MIN_SAMPLES)),
     "omega_points": Field("verify-matching", 101, _integer(2)),
     "omega_min": Field("verify-matching", -5.0, _number()),
     "omega_max": Field("verify-matching", 5.0, _number()),
@@ -144,7 +142,6 @@ CONFIG_FIELDS = {
     "k_grid": Field("sweep", list(analytics.SWEEP_SHAPES), _grid),
     "p_t_grid": Field("sweep", list(analytics.SWEEP_POWERS), _grid),
     "c_grid": Field("sweep", list(analytics.SWEEP_COSTS), _grid),
-    "argmin_tol": Field("optimize sweep", 1e-8, _positive),
     "spot_check": Field("sweep", False, _choice(False, True)),
     "spot_horizon": Field("sweep", 2_000, _integer(1)),
     "spot_episodes": Field("sweep", 10, _integer(2)),
@@ -167,7 +164,7 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
     fields = {key: f for key, f in CONFIG_FIELDS.items() if command in f.commands.split()}
     unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown config field(s) for {command}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}")
     version = raw.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1 in Python
         _fail("schema_version", str(SCHEMA_VERSION), version)
@@ -183,9 +180,8 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
 
     if cfg.get("strategy") == "threshold" and cfg["beta"] is None:
         raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
-    for lo, hi in (("argmin_lo", "argmin_hi"), ("omega_min", "omega_max")):
-        if lo in cfg and cfg[lo] >= cfg[hi]:
-            _fail(lo, f"< {hi} ({cfg[hi]!r})", cfg[lo])
+    if "omega_min" in cfg and cfg["omega_min"] >= cfg["omega_max"]:
+        _fail("omega_min", f"< omega_max ({cfg['omega_max']!r})", cfg["omega_min"])
     # the model, and every point of the sweep grids, must give a finite m and
     # beta*, which SystemParams checks
     model = ("lambda", "k", "p_t", "c")
@@ -210,10 +206,13 @@ _SE_RULE = f"<= {SIGMAS:g} sample SE, no multiplicity correction"
 _SWEEP_COLUMNS = ("lambda", "k", "P_T", "c", "beta_star_formula", "beta_star_numeric",
                   "J_at_beta_star")
 _SPOT_COLUMNS = ("j_mc_mean", "j_mc_std_error", "j_mc_within_4se")
+# A verify-matching point, in JSON too, is a CfResidualReport point under
+# these names and `reliable`, which the CSV table leaves out.
+_CF_POINT_COLUMNS = ("omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual")
 _CSV_COLUMNS = {
     "simulate": _CHECK_COLUMNS,
     "optimize": ("field", "value"),
-    "verify-matching": ("check", "omega", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"),
+    "verify-matching": ("check",) + _CF_POINT_COLUMNS,
     "sweep": _SWEEP_COLUMNS + _SPOT_COLUMNS,
 }
 _OPTIMIZE_FIELDS = ("beta_star_formula", "beta_star_numeric", "j_at_beta_star_formula",
@@ -314,7 +313,7 @@ def cmd_optimize(cfg: dict) -> dict:
     """optimal threshold: formula vs golden-section argmin vs Monte Carlo"""
     p = _params(cfg)
     formula = analytics.optimal_threshold(p)
-    numeric = analytics.numeric_argmin(p, cfg["argmin_lo"], cfg["argmin_hi"], cfg["argmin_tol"])
+    numeric = analytics.numeric_argmin(p)
     j_formula = analytics.cost_closed_form(p, formula).total
     j_numeric = analytics.cost_closed_form(p, numeric).total
     strat = strategies.ThresholdAffineStrategy(p, formula)
@@ -333,6 +332,19 @@ def _chunks(n: int, draw: Callable[[int], np.ndarray]):
     """``n`` samples, drawn lazily by ``draw(size)`` at most SAMPLE_CHUNK at a time."""
     for lo in range(0, n, SAMPLE_CHUNK):
         yield draw(min(SAMPLE_CHUNK, n - lo))
+
+
+def _cf_block(report: matching.CfResidualReport) -> dict:
+    """A CF residual report's JSON block; NaN becomes null at the writer."""
+    columns = (report.omega, report.lhs.real, report.lhs.imag, report.rhs.real,
+               report.rhs.imag, report.residual, report.reliable)
+    return {
+        "max_residual": report.max_residual,
+        "n_points": report.omega.size,
+        "n_unreliable": int(np.count_nonzero(~report.reliable)),
+        "points": [dict(zip(_CF_POINT_COLUMNS + ("reliable",), point))
+                   for point in zip(*(column.tolist() for column in columns))],
+    }
 
 
 def cmd_verify_matching(cfg: dict) -> dict:
@@ -380,15 +392,13 @@ def cmd_verify_matching(cfg: dict) -> dict:
         for label, report in reports.items()
     ]
     return _report("verify-matching", cfg, checks, derived=_derived_block(p),
-                   **{label: report.to_json_dict() for label, report in reports.items()})
+                   **{label: _cf_block(report) for label, report in reports.items()})
 
 
 def cmd_sweep(cfg: dict) -> dict:
     """formula/numeric threshold agreement over a parameter grid"""
-    rows = analytics.threshold_sweep(
-        cfg["lambda_grid"], cfg["k_grid"], cfg["p_t_grid"], cfg["c_grid"],
-        tol=cfg["argmin_tol"],
-    )
+    rows = analytics.threshold_sweep(cfg["lambda_grid"], cfg["k_grid"], cfg["p_t_grid"],
+                                     cfg["c_grid"])
     out_rows = []
     for i, r in enumerate(rows):
         row = dict(zip(_SWEEP_COLUMNS, (r.lam, r.k, r.p_t, r.c, r.beta_star_formula,

@@ -55,10 +55,6 @@ class LaplaceDist:
             raise ValueError(f"location must be finite, got {self.location!r}")
 
     @property
-    def rate(self) -> float:
-        return 1.0 / self.scale
-
-    @property
     def mean(self) -> float:
         return self.location
 

@@ -8,7 +8,6 @@ empirical CFs built from samples, and reports per-point complex residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +19,7 @@ from .strategies import SystemParams
 __all__ = [
     "DEFAULT_OMEGA_GRID",
     "EMPIRICAL_MODULUS_FLOOR",
+    "MIN_SAMPLES",
     "MatchSpec",
     "CfResidualReport",
     "check_matching",
@@ -37,6 +37,9 @@ DEFAULT_OMEGA_GRID: tuple[float, ...] = tuple(np.linspace(-5.0, 5.0, 101))
 # Below this empirical modulus the gamma-th power amplifies sampling noise
 # too much for the residual to mean anything.
 EMPIRICAL_MODULUS_FLOOR = 1e-3
+
+# The fewest samples per side an empirical check accepts.
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,6 @@ class MatchSpec:
         object.__setattr__(self, "omega_grid", grid)
 
 
-def _json_float(value: float) -> float | None:
-    # JSON has no NaN; an unreliable value is written as null
-    return value if math.isfinite(value) else None
-
-
 @dataclass(frozen=True, eq=False)
 class CfResidualReport:
     """Residuals on the grid sorted by omega, one array entry per point:
@@ -80,28 +78,6 @@ class CfResidualReport:
     residual: np.ndarray
     reliable: np.ndarray
     max_residual: float
-
-    def to_json_dict(self) -> dict:
-        """Strict-JSON payload: every NaN (an unreliable point's ``rhs`` and
-        residual, or the maximum over no reliable point) becomes None."""
-        columns = (self.omega, self.lhs, self.rhs, self.residual, self.reliable)
-        return {
-            "max_residual": _json_float(self.max_residual),
-            "n_points": self.omega.size,
-            "n_unreliable": int(np.count_nonzero(~self.reliable)),
-            "points": [
-                {
-                    "omega": omega,
-                    "lhs_re": _json_float(lhs.real),
-                    "lhs_im": _json_float(lhs.imag),
-                    "rhs_re": _json_float(rhs.real),
-                    "rhs_im": _json_float(rhs.imag),
-                    "residual": _json_float(residual),
-                    "reliable": reliable,
-                }
-                for omega, lhs, rhs, residual, reliable in zip(*(c.tolist() for c in columns))
-            ],
-        }
 
 
 def _cf_values(fn: Callable, omega: np.ndarray) -> np.ndarray:
@@ -192,7 +168,6 @@ def check_matching_empirical(
     alpha: float,
     gamma: float,
     omega_grid: Sequence[float] | None = None,
-    min_samples: int = 10_000,
 ) -> CfResidualReport:
     """Sampling-based version of :func:`check_matching`.
 
@@ -205,9 +180,8 @@ def check_matching_empirical(
     Carlo error (roughly 1/sqrt(N) per point, amplified by the gamma-th
     power where the noise CF modulus is small).  Points with empirical
     modulus below ``EMPIRICAL_MODULUS_FLOOR`` are marked unreliable: their
-    power and residual are NaN (null in :meth:`CfResidualReport.to_json_dict`)
-    and they are excluded from the reported maximum, which is NaN when no
-    point is reliable.
+    power and residual are NaN and they are excluded from the reported
+    maximum, which is NaN when no point is reliable.
 
     Nearly all the time goes to :func:`empirical_char_fn`, once per chunk;
     the chunk CFs are averaged with weights by size, which equals the CF of
@@ -226,10 +200,9 @@ def check_matching_empirical(
 
     lhs, n_src = _mean_cf(source_chunks, alpha * omega)
     noise, n_noise = _mean_cf(noise_chunks, omega)
-    least = max(min_samples, 1)
-    if n_src < least or n_noise < least:
+    if n_src < MIN_SAMPLES or n_noise < MIN_SAMPLES:
         raise ValueError(
-            f"need at least {least} samples per side, "
+            f"need at least {MIN_SAMPLES} samples per side, "
             f"got {n_src} source and {n_noise} noise"
         )
     return _build_report(omega, lhs, noise, gamma, np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR)

@@ -24,6 +24,8 @@ from .strategies import Strategy, SystemParams, payload_sign
 
 __all__ = [
     "CHUNK_STAGES",
+    "MIN_TRANSMISSIONS",
+    "STATIONARITY_Z_MAX",
     "EpisodeTrace",
     "MonteCarloEstimate",
     "Moments",
@@ -38,6 +40,10 @@ __all__ = [
 # Stages per block: the kernel holds a few arrays of this length at a time.
 # Larger blocks buy little speed and raise the peak memory of short runs.
 CHUNK_STAGES = 1 << 12
+# The fewest transmissions that give transmission-conditional statistics.
+MIN_TRANSMISSIONS = 100
+# A stationarity check passes below this largest pairwise z.
+STATIONARITY_Z_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -311,7 +317,6 @@ def estimate_conditional_stats(
     strat: Strategy,
     horizon: int,
     rng: RngHandle,
-    min_transmissions: int = 100,
 ) -> ConditionalStats:
     """Transmission-conditional statistics from one long episode.
 
@@ -319,7 +324,7 @@ def estimate_conditional_stats(
     branch), the conditional payload power E[Y²|U=1], the transmit frequency,
     and the conditional estimator bias E[x_hat - x | U=1], each reduced
     block by block into streaming moments.  With fewer than
-    ``min_transmissions`` transmissions the transmission-conditional
+    MIN_TRANSMISSIONS transmissions the transmission-conditional
     statistics cannot be estimated, nor can a sign branch with fewer than 2
     transmissions; those statistics are then None and ``problem`` says why.
     """
@@ -336,9 +341,9 @@ def estimate_conditional_stats(
     mse, pos, neg, power, freq, bias = acc
     n_tx = mse.n
     problem = None
-    if n_tx < min_transmissions:
+    if n_tx < MIN_TRANSMISSIONS:
         problem = (f"only {n_tx} transmissions in {int(horizon)} stages; "
-                   f"need at least {min_transmissions} for conditional statistics")
+                   f"need at least {MIN_TRANSMISSIONS} for conditional statistics")
         mse = pos = neg = power = bias = Moments()
     elif pos.n < 2 or neg.n < 2:
         problem = "a sign branch has fewer than 2 transmissions"
@@ -362,7 +367,6 @@ def stationarity_check(
     horizon: int,
     n_episodes: int,
     rng: RngHandle,
-    threshold: float = 4.0,
 ) -> StationarityReport:
     """Are per-stage mean costs statistically indistinguishable across stages?
 
@@ -402,5 +406,5 @@ def stationarity_check(
     return StationarityReport(
         stage_means=estimates,
         max_pairwise_z=max_z,
-        passed=bool(max_z < threshold),
+        passed=bool(max_z < STATIONARITY_Z_MAX),
     )

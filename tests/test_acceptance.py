@@ -133,7 +133,7 @@ def test_criterion_05_unique_minimizer():
     signs_ok = True
     for p in SWEEP_PARAMS:
         star = optimal_threshold(p)
-        numeric = numeric_argmin(p, 0.0, 10.0, 1e-8)
+        numeric = numeric_argmin(p)
         worst_gap = max(worst_gap, abs(numeric - star))
         at_star = cost_derivative(p, star)
         scale = p.lam * (p.c + p.m)

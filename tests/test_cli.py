@@ -200,6 +200,19 @@ class TestValidation:
         assert done.returncode == 2, done.stderr
         assert "schema_version" in done.stderr
 
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in ("optimize", "sweep")
+        for key in ("argmin_lo", "argmin_hi", "argmin_tol")
+    ])
+    def test_argmin_keys_are_unknown(self, tmp_path, capsys, command, key):
+        # the golden-section search finds its own bracket, to a fixed tolerance
+        old_default = {"argmin_lo": 0.0, "argmin_hi": 10.0, "argmin_tol": 1e-8}[key]
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", out=str(out), **{key: old_default})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, key, value", [
         ("optimize", "argmin_hi", math.inf),
         ("optimize", "argmin_tol", math.nan),
@@ -385,6 +398,12 @@ class TestOptimize:
             math.sqrt(0.01 + 2.0 / 3.0), abs=1e-12
         )
 
+    def test_minimizer_beyond_the_first_bracket(self, tmp_path):
+        # beta* = 16.36, outside [0, 10], where the search starts
+        cfg = write_config(tmp_path / "cfg.json", horizon=2_000, episodes=20,
+                           out=str(tmp_path / "opt.json"), **{"lambda": 0.05})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+
     def test_csv_fields(self, tmp_path):
         out = tmp_path / "opt.csv"
         cfg = write_config(tmp_path / "cfg.json", horizon=1_000, episodes=10,
@@ -517,6 +536,12 @@ class TestSweep:
         rows = list(csv.reader(out.open()))
         assert rows[0][-3:] == ["j_mc_mean", "j_mc_std_error", "j_mc_within_4se"]
         assert rows[1][-1] == "true"
+
+    def test_minimizers_beyond_the_first_bracket(self, tmp_path):
+        # beta* runs from 11.55 to 18.53 over the default k, p_t and c grids
+        cfg = write_config(tmp_path / "cfg.json", out=str(tmp_path / "sweep.json"),
+                           lambda_grid=[0.05])
+        assert main(["sweep", "--config", str(cfg)]) == 0
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", lambda_grid=[])
