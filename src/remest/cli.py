@@ -284,27 +284,22 @@ def cmd_simulate(cfg: dict) -> dict:
     rng = RngHandle(cfg["seed"], cfg["stream"])
     name = cfg["strategy"]
 
-    cost = simulator.estimate_cost(p, strat, cfg["horizon"], cfg["episodes"], rng)
+    horizon, episodes = cfg["horizon"], cfg["episodes"]
     if name == "never":
-        cost_target = 2.0 / p.lam**2
-    elif name == "noise_blind":
-        cost_target = None
+        cost = simulator.estimate_cost(p, strat, horizon, episodes, rng)
+        checks = [_mc_check("per_stage_cost", cost, 2.0 / p.lam**2)]
     else:
-        cost_target = analytics.cost_closed_form(p, beta).total
-    checks = [_mc_check("per_stage_cost", cost, cost_target)]
-
-    if name != "never":
-        # a separate substream so the conditional episode is independent of
-        # the cost episodes above
-        stats = simulator.estimate_conditional_stats(
-            p, strat, cfg["horizon"] * cfg["episodes"], rng.substream(cfg["episodes"])
-        )
+        # one pass: the conditional rows pool the stages of the cost episodes
+        cost, stats = simulator.estimate_cost(p, strat, horizon, episodes, rng, conditional=True)
         if stats.problem is not None:
             print(f"error: {stats.problem}", file=sys.stderr)
-        # the noise-blind decoder has no closed-form error
-        m, bias = (p.m, 0.0) if name in ("optimal", "threshold", "always") else (None, None)
+        # the noise-blind decoder has no closed-form cost or error
+        blind = name == "noise_blind"
+        m, bias = (None, None) if blind else (p.m, 0.0)
         targets = {"mse_tx": m, "mse_tx_pos": m, "mse_tx_neg": m, "power": p.p_t,
                    "tx_frequency": math.exp(-p.lam * beta), "bias_tx": bias}
+        checks = [_mc_check("per_stage_cost", cost,
+                            None if blind else analytics.cost_closed_form(p, beta).total)]
         checks += [_mc_check(key, getattr(stats, key), target) for key, target in targets.items()]
     return _report("simulate", cfg, checks, derived={**_derived_block(p), "beta": beta})
 

@@ -130,7 +130,9 @@ class RngHandle:
                 f"seed, stream and path ids must be integers in [0, 2^32), "
                 f"got seed={self.seed}, stream={self.stream}, path={self.path}"
             )
-        key = np.random.SeedSequence([self.seed, self.stream], spawn_key=self.path)
+        # the words of the list [seed, stream], which SeedSequence splits 3x slower
+        entropy = np.array((self.seed, self.stream), dtype=np.uint32)
+        key = np.random.SeedSequence(entropy, spawn_key=self.path)
         self.generator = np.random.Generator(np.random.PCG64(key))
 
     def substream(self, index: int) -> "RngHandle":
@@ -142,11 +144,26 @@ class RngHandle:
 
 
 def sample_laplace(d: LaplaceDist, rng: RngHandle, size: int | None = None):
-    """Laplace draws from numpy's ``Generator.laplace``.
+    """Laplace draws by numpy's inverse CDF, vectorized over ``Generator.random``:
+    x = loc + scale·copysign(log(1 - 2|u - 1/2|), u - 1/2).  A u of exactly 0
+    is redrawn, as ``Generator.laplace`` does, so the generator ends in its
+    state.  The values differ from numpy's only by its rounding of 2 - u - u.
 
     ``size=None`` returns a scalar float; an integer returns a 1-D array.
     """
-    return rng.generator.laplace(d.location, d.scale, size)
+    n = 1 if size is None else size
+    u = rng.generator.random(n)
+    while not u.all():  # as numpy does, redraw a u of 0, where log(2u) is -inf
+        u = np.concatenate((u[u != 0.0], rng.generator.random(n - np.count_nonzero(u))))
+    u -= 0.5
+    x = np.abs(u)  # the one temporary array; the rest is in place
+    x *= -2.0
+    x += 1.0
+    np.log(x, out=x)
+    np.copysign(x, u, out=x)
+    x *= d.scale
+    x += d.location
+    return float(x[0]) if size is None else x
 
 
 def sample_exponential(d: ExponentialDist, rng: RngHandle, size: int | None = None):

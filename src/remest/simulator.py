@@ -9,7 +9,8 @@ column piece of one episode when the horizon is longer than a block), block
 i draws its source and noise from ``rng.substream(i)``, the policy is
 applied once per block, and each estimator folds the blocks, in block
 order, into its own small reducer.  Memory therefore stays bounded by the
-block size.
+block size.  ``estimate_cost`` can fold the conditional moments in the
+same pass.
 """
 
 from __future__ import annotations
@@ -267,34 +268,6 @@ def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) 
     )
 
 
-def estimate_cost(
-    p: SystemParams,
-    strat: Strategy,
-    horizon: int,
-    n_episodes: int,
-    rng: RngHandle,
-) -> MonteCarloEstimate:
-    """Mean per-stage cost across independent episodes.
-
-    Block i always runs on ``rng.substream(i)`` and episode totals are
-    summed in block order, so repeated calls with an identically keyed
-    handle and the same shape reuse identical draws (the
-    common-random-numbers hook for strategy comparisons).  Memory is
-    O(block + episodes).
-    """
-    n_episodes = int(n_episodes)
-    if n_episodes < 2:
-        raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
-    totals = np.zeros(n_episodes)
-
-    def row_sums(b: _Block):
-        return b.r0, b.r1, _stage_cost(p, b).sum(axis=1)
-
-    for r0, r1, sums in _simulate(p, strat, horizon, n_episodes, rng, row_sums):
-        totals[r0:r1] += sums
-    return MonteCarloEstimate.from_samples(totals / int(horizon))
-
-
 @dataclass(frozen=True)
 class ConditionalStats:
     """Monte Carlo estimates conditioned on transmission.
@@ -310,6 +283,70 @@ class ConditionalStats:
     bias_tx: MonteCarloEstimate | None
     n_transmissions: int
     problem: str | None = None
+
+
+def _fold(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int, rng: RngHandle,
+          conditional: bool):
+    """One pass over the blocks: the episode totals and, with ``conditional``,
+    the ConditionalStats of the same stages (else None)."""
+    totals = np.zeros(n_episodes)
+    acc = (Moments(),) * 5  # mse_tx, mse_tx_pos, mse_tx_neg, power, bias_tx
+
+    def reduce(b: _Block):
+        part = ()
+        if conditional:  # the conditional reducer, on the transmit set
+            err = b.xhat_on - b.x_on
+            sq = np.square(err)
+            pos = b.s_on == 1
+            part = (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
+                    Moments.of(np.square(b.y_on)), Moments.of(err))
+        return b.r0, b.r1, _stage_cost(p, b).sum(axis=1), part
+
+    for r0, r1, sums, part in _simulate(p, strat, horizon, n_episodes, rng, reduce):
+        totals[r0:r1] += sums
+        if part:
+            acc = tuple(a.merge(m) for a, m in zip(acc, part))
+    if not conditional:
+        return totals, None
+    # the finisher; tx_frequency from the exact count k: mean k/n, M2 = k(n - k)/n
+    mse, pos, neg, power, bias = acc
+    n, n_tx = int(horizon) * n_episodes, mse.n
+    freq = Moments(n, n_tx / n, n_tx * (n - n_tx) / n)
+    problem = None
+    if n_tx < MIN_TRANSMISSIONS:
+        problem = (f"only {n_tx} transmissions in {n} stages; "
+                   f"need at least {MIN_TRANSMISSIONS} for conditional statistics")
+        mse = pos = neg = power = bias = Moments()
+    elif pos.n < 2 or neg.n < 2:
+        problem = "a sign branch has fewer than 2 transmissions"
+    estimates = (m.estimate() if m.n >= 2 else None for m in (mse, pos, neg, power, freq, bias))
+    return totals, ConditionalStats(*estimates, n_transmissions=n_tx, problem=problem)
+
+
+def estimate_cost(
+    p: SystemParams,
+    strat: Strategy,
+    horizon: int,
+    n_episodes: int,
+    rng: RngHandle,
+    conditional: bool = False,
+) -> MonteCarloEstimate | tuple[MonteCarloEstimate, ConditionalStats]:
+    """Mean per-stage cost across independent episodes.
+
+    Block i always runs on ``rng.substream(i)`` and episode totals are
+    summed in block order, so repeated calls with an identically keyed
+    handle and the same shape reuse identical draws (the
+    common-random-numbers hook for strategy comparisons).  Memory is
+    O(block + episodes).  With ``conditional`` the call returns
+    ``(cost, ConditionalStats)``, both from the blocks of one pass, and the
+    cost is the one the call without it returns.
+    """
+    n_episodes = int(n_episodes)
+    if n_episodes < 2:
+        raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
+    totals, stats = _fold(p, strat, horizon, n_episodes, rng, conditional)
+    cost = MonteCarloEstimate.from_samples(totals / int(horizon))
+    return (cost, stats) if conditional else cost
 
 
 def estimate_conditional_stats(
@@ -328,27 +365,7 @@ def estimate_conditional_stats(
     statistics cannot be estimated, nor can a sign branch with fewer than 2
     transmissions; those statistics are then None and ``problem`` says why.
     """
-    def moments(b: _Block):
-        err = b.xhat_on - b.x_on
-        sq = np.square(err)
-        pos = b.s_on == 1
-        return (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
-                Moments.of(np.square(b.y_on)), Moments.of(b.u), Moments.of(err))
-
-    acc = (Moments(),) * 6
-    for part in _simulate(p, strat, horizon, 1, rng, moments):
-        acc = tuple(a.merge(b) for a, b in zip(acc, part))
-    mse, pos, neg, power, freq, bias = acc
-    n_tx = mse.n
-    problem = None
-    if n_tx < MIN_TRANSMISSIONS:
-        problem = (f"only {n_tx} transmissions in {int(horizon)} stages; "
-                   f"need at least {MIN_TRANSMISSIONS} for conditional statistics")
-        mse = pos = neg = power = bias = Moments()
-    elif pos.n < 2 or neg.n < 2:
-        problem = "a sign branch has fewer than 2 transmissions"
-    estimates = (m.estimate() if m.n >= 2 else None for m in (mse, pos, neg, power, freq, bias))
-    return ConditionalStats(*estimates, n_transmissions=n_tx, problem=problem)
+    return _fold(p, strat, horizon, 1, rng, True)[1]
 
 
 @dataclass(frozen=True)

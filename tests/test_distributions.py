@@ -92,6 +92,13 @@ class TestRngHandle:
         expected = np.random.Generator(np.random.PCG64(ss)).random(8)
         assert np.array_equal(RngHandle(7, 3).generator.random(8), expected)
 
+    @pytest.mark.parametrize("key", [0, 2**32 - 1])
+    def test_state_equals_the_list_keyed_seed_sequence(self, key):
+        ss = np.random.SeedSequence([key, key], spawn_key=(key, key))
+        expected = np.random.Generator(np.random.PCG64(ss)).bit_generator.state
+        handle = RngHandle(key, key).substream(key).substream(key)
+        assert handle.generator.bit_generator.state == expected
+
     def test_largest_ids_keep_their_draws(self):
         top = 2**32 - 1
         expected = np.random.Generator(
@@ -125,6 +132,60 @@ class TestLaplaceSampling:
         x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(2024, 4), size=N)
         ks = stats.kstest(x, stats.laplace(loc=0.0, scale=1.0).cdf)
         assert ks.statistic < 0.002
+
+
+# PCG64's multiplier; a state is stepped as state·M + inc before each output
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _zero_after(handle: RngHandle, ahead: int) -> RngHandle:
+    """``handle`` set so that its (ahead + 1)-th ``random()`` draw is exactly 0.
+
+    PCG64 outputs the xor of the high and low words of the stepped state,
+    rotated, so a stepped state with equal words outputs 0."""
+    bits = handle.generator.bit_generator
+    state = bits.state
+    target = (0x5EED << 64) | 0x5EED
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    state["state"]["state"] = (target - state["state"]["inc"]) * inverse % (1 << 128)
+    bits.state = state
+    bits.advance(-ahead)
+    return handle
+
+
+class TestLaplaceInverseCdf:
+    """sample_laplace applies Generator.laplace's inverse CDF to
+    Generator.random's uniforms, vectorized."""
+
+    @pytest.mark.parametrize("size", [None, 1, 4096, 100_000])
+    @pytest.mark.parametrize("d", [LaplaceDist(0.0, 1.0), LaplaceDist(-1.5, 0.37)],
+                             ids=["unit", "shifted"])
+    def test_same_state_and_values_as_numpy(self, d, size):
+        ours, theirs = RngHandle(2024, 7), RngHandle(2024, 7)
+        x = sample_laplace(d, ours, size=size)
+        y = theirs.generator.laplace(d.location, d.scale, size)
+        assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
+        assert isinstance(x, float) if size is None else x.shape == (size,)
+        np.testing.assert_allclose(x, y, rtol=1e-10, atol=0.0)
+
+    def test_inverse_cdf_of_the_same_uniforms_bit_for_bit(self):
+        # scipy's ppf takes log(2u) or -log(2(1 - u)), exact arguments as here
+        d = LaplaceDist(0.3, 1.7)
+        u = RngHandle(2024, 8).generator.random(100_000)
+        x = sample_laplace(d, RngHandle(2024, 8), size=u.size)
+        assert np.array_equal(x, d.location + d.scale * stats.laplace.ppf(u))
+
+    @pytest.mark.parametrize("size, ahead", [(None, 0), (1, 0), (5, 0), (5, 3), (4096, 4095)])
+    def test_a_zero_uniform_is_redrawn_as_numpy_does(self, size, ahead):
+        d = LaplaceDist(0.0, 2.0)
+        ours = _zero_after(RngHandle(2024, 9), ahead)
+        theirs = _zero_after(RngHandle(2024, 9), ahead)
+        assert _zero_after(RngHandle(2024, 9), ahead).generator.random(ahead + 1)[-1] == 0.0
+        x = sample_laplace(d, ours, size=size)
+        y = theirs.generator.laplace(d.location, d.scale, size)
+        assert np.all(np.isfinite(x))
+        assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
+        np.testing.assert_allclose(x, y, rtol=1e-10, atol=0.0)
 
 
 class TestGammaSampling:

@@ -332,6 +332,14 @@ class TestBoundedMemory:
                                                  RngHandle(3)))
         assert large <= small + self.SLACK, (small, large)
 
+    def test_estimate_cost_with_conditional_stats(self):
+        def run(stages):
+            return lambda: estimate_cost(REF, OPTIMAL, 1_000, stages // 1_000, RngHandle(5),
+                                         conditional=True)
+
+        small, large = self._peak(run(2**16)), self._peak(run(2**20))
+        assert large <= small + self.SLACK, (small, large)
+
     def test_estimate_conditional_stats(self):
         small = self._peak(lambda: estimate_conditional_stats(REF, OPTIMAL, 2**16, RngHandle(4)))
         large = self._peak(lambda: estimate_conditional_stats(REF, OPTIMAL, 2**20, RngHandle(4)))
@@ -436,6 +444,37 @@ class TestTransmitSetKernel:
         assert stats.n_transmissions == acc[0].n
         assert stats.tx_frequency == acc[4].estimate()
         names = ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "tx_frequency", "bias_tx")
+        for name, moments in zip(names, acc):
+            got = getattr(stats, name)
+            assert got is None or got == moments.estimate(), name
+
+    def test_one_pass_pools_the_cost_episodes(self, case):
+        # estimate_cost(conditional=True): the conditional rows pool every
+        # stage of the cost episodes' blocks, and the cost is unchanged
+        strat, horizon, episodes = case
+        stages = horizon * episodes
+        totals = np.zeros(episodes)
+        acc = (Moments(),) * 5
+        for r0, r1, _, x, _, u, x_hat, y_on, s_on, cost in _reference_blocks(
+                REF, strat, horizon, episodes, RngHandle(35)):
+            totals[r0:r1] += cost.sum(axis=1)
+            err = x_hat[u] - x[u]
+            sq = np.square(err)
+            pos = s_on == 1
+            part = (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
+                    Moments.of(np.square(y_on)), Moments.of(err))
+            acc = tuple(a.merge(b) for a, b in zip(acc, part))
+        cost, stats = estimate_cost(REF, strat, horizon, episodes, RngHandle(35),
+                                    conditional=True)
+        assert cost == MonteCarloEstimate.from_samples(totals / horizon)
+        assert cost == estimate_cost(REF, strat, horizon, episodes, RngHandle(35))
+        # the transmit frequency from the exact count k of the stages
+        k = acc[0].n
+        assert stats.n_transmissions == k
+        exact = Moments(stages, k / stages, k * (stages - k) / stages)
+        assert stats.tx_frequency == exact.estimate()
+        assert stats.tx_frequency.n == stages
+        names = ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx")
         for name, moments in zip(names, acc):
             got = getattr(stats, name)
             assert got is None or got == moments.estimate(), name
