@@ -44,11 +44,6 @@ from .simulator import (
     run_episode,
     stationarity_check,
 )
-from .strategies import (
-    NeverTransmitStrategy,
-    Strategy,
-    SystemParams,
-    ThresholdAffineStrategy,
-)
+from .strategies import SystemParams, ThresholdAffineStrategy
 
 __version__ = "0.1.0"

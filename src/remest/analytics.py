@@ -62,12 +62,21 @@ def cost_closed_form(p: SystemParams, beta: float) -> CostBreakdown:
 
     and a transmission occurs with probability e^(-lam·beta), costing c + m.
     The antiderivative is verified against adaptive quadrature in the tests.
+    Where beta² or 2·beta/lam is beyond the float range, the tail is computed
+    in z = lam·beta, and it is 0 once e^(-z) underflows: the cost is 2/lam².
     """
     if not math.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     lam = p.lam
     tx_prob = math.exp(-lam * beta)
-    est_no_tx = 2.0 / lam**2 - tx_prob * (beta**2 + 2.0 * beta / lam + 2.0 / lam**2)
+    try:
+        tail = tx_prob * (beta**2 + 2.0 * beta / lam + 2.0 / lam**2)
+    except OverflowError:
+        tail = math.inf
+    if not math.isfinite(tail):  # beta² or 2·beta/lam beyond the float range
+        z = lam * beta
+        tail = tx_prob and tx_prob * (z * z + 2.0 * z + 2.0) / lam**2
+    est_no_tx = 2.0 / lam**2 - tail
     comm = p.c * tx_prob
     est_tx = p.m * tx_prob
     return CostBreakdown(
@@ -87,7 +96,9 @@ def cost_derivative(p: SystemParams, beta: float) -> float:
     """
     if not math.isfinite(beta) or beta <= 0.0:
         raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-    return p.lam * math.exp(-p.lam * beta) * (beta**2 - (p.c + p.m))
+    rate = p.lam * math.exp(-p.lam * beta)
+    # rate·beta = z·e^(-z) <= 1/e, so this is finite where beta² is not
+    return rate * beta * beta - rate * (p.c + p.m)
 
 
 def optimal_threshold(p: SystemParams) -> float:

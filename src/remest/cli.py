@@ -180,8 +180,10 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
 
     if cfg.get("strategy") == "threshold" and cfg["beta"] is None:
         raise ConfigError("config field 'beta' is required when strategy is 'threshold'")
-    if "omega_min" in cfg and cfg["omega_min"] >= cfg["omega_max"]:
-        _fail("omega_min", f"< omega_max ({cfg['omega_max']!r})", cfg["omega_min"])
+    # a span beyond the float range would overflow the grid's linspace
+    if "omega_min" in cfg and not 0.0 < cfg["omega_max"] - cfg["omega_min"] < math.inf:
+        _fail("omega_min", f"< omega_max ({cfg['omega_max']!r}), with a finite difference",
+              cfg["omega_min"])
     # the model, and every point of the sweep grids, must give a finite m and
     # beta*, which SystemParams checks
     model = ("lambda", "k", "p_t", "c")
@@ -234,13 +236,16 @@ def _derived_block(p: SystemParams) -> dict:
     }
 
 
+# The strategies with a fixed threshold: never transmitting is beta = inf.
+_FIXED_BETA = {"always": 0.0, "never": math.inf}
+
+
 def _build_strategy(cfg: dict, p: SystemParams):
-    name, beta = cfg["strategy"], cfg["beta"]
-    if name == "never":
-        return strategies.NeverTransmitStrategy(p), None
+    name = cfg["strategy"]
+    beta = _FIXED_BETA.get(name, cfg["beta"])
     # `threshold` requires beta; `noise_blind` takes it and defaults to beta*
-    if name in ("optimal", "always") or beta is None:
-        beta = 0.0 if name == "always" else analytics.optimal_threshold(p)
+    if name == "optimal" or beta is None:
+        beta = analytics.optimal_threshold(p)
     return strategies.ThresholdAffineStrategy(p, beta, matched=name != "noise_blind"), beta
 
 

@@ -139,9 +139,6 @@ class RngHandle:
         """Independent child stream; same (seed, stream, path, index) -> same draws."""
         return RngHandle(self.seed, self.stream, (*self.path, int(index)))
 
-    def __repr__(self) -> str:
-        return f"RngHandle(seed={self.seed}, stream={self.stream}, path={self.path})"
-
 
 def sample_laplace(d: LaplaceDist, rng: RngHandle, size: int | None = None):
     """Laplace draws by numpy's inverse CDF, vectorized over ``Generator.random``:

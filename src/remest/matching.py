@@ -24,8 +24,7 @@ __all__ = [
     "CfResidualReport",
     "check_matching",
     "check_matching_empirical",
-    "centered_exponential_cf",
-    "centered_gamma_cf",
+    "centered_cf",
     "matched_pair_spec",
     "gamma_power_closed_form",
 ]
@@ -208,23 +207,13 @@ def check_matching_empirical(
     return _build_report(omega, lhs, noise, gamma, np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR)
 
 
-def _centered_cf(dist) -> Callable:
+def centered_cf(dist) -> Callable:
     """CF of X - E[X] where X is drawn from ``dist``."""
     def cf(omega):
         w = np.asarray(omega, dtype=np.float64)
         return char_fn(dist, w) * np.exp(-1j * w * dist.mean)
 
     return cf
-
-
-def centered_exponential_cf(rate: float) -> Callable:
-    """CF of X - 1/rate where X is Exponential(rate)."""
-    return _centered_cf(ExponentialDist(rate))
-
-
-def centered_gamma_cf(shape: float, scale: float) -> Callable:
-    """CF of V - shape·scale where V is Gamma(shape, scale)."""
-    return _centered_cf(GammaDist(shape, scale))
 
 
 def matched_pair_spec(params: SystemParams,
@@ -236,8 +225,8 @@ def matched_pair_spec(params: SystemParams,
     """
     grid = DEFAULT_OMEGA_GRID if omega_grid is None else tuple(omega_grid)
     return MatchSpec(
-        source_cf=centered_exponential_cf(params.lam),
-        noise_cf=centered_gamma_cf(params.k, params.theta),
+        source_cf=centered_cf(ExponentialDist(params.lam)),
+        noise_cf=centered_cf(GammaDist(params.k, params.theta)),
         alpha=params.alpha,
         gamma=params.gamma,
         omega_grid=grid,

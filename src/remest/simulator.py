@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import GammaDist, LaplaceDist, RngHandle, sample_gamma, sample_laplace
-from .strategies import Strategy, SystemParams, payload_sign
+from .strategies import SystemParams, ThresholdAffineStrategy, payload_sign
 
 __all__ = [
     "CHUNK_STAGES",
@@ -178,7 +178,7 @@ def _layout(horizon: int, n_episodes: int):
                 yield r, r + 1, c0, min(c0 + CHUNK_STAGES, horizon)
 
 
-def _simulate(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int,
+def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episodes: int,
               rng: RngHandle, reduce):
     """Yield ``reduce(block)`` for every block, in block order.
 
@@ -224,7 +224,8 @@ def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
     return cost
 
 
-def run_episode(p: SystemParams, strat: Strategy, horizon: int, rng: RngHandle) -> EpisodeTrace:
+def run_episode(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int,
+                rng: RngHandle) -> EpisodeTrace:
     """Simulate ``horizon`` i.i.d. stages under one strategy and keep every column.
 
     Per stage: draw the source value, draw the channel noise, apply the
@@ -285,8 +286,8 @@ class ConditionalStats:
     problem: str | None = None
 
 
-def _fold(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int, rng: RngHandle,
-          conditional: bool):
+def _fold(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episodes: int,
+          rng: RngHandle, conditional: bool):
     """One pass over the blocks: the episode totals and, with ``conditional``,
     the ConditionalStats of the same stages (else None)."""
     totals = np.zeros(n_episodes)
@@ -325,7 +326,7 @@ def _fold(p: SystemParams, strat: Strategy, horizon: int, n_episodes: int, rng: 
 
 def estimate_cost(
     p: SystemParams,
-    strat: Strategy,
+    strat: ThresholdAffineStrategy,
     horizon: int,
     n_episodes: int,
     rng: RngHandle,
@@ -351,7 +352,7 @@ def estimate_cost(
 
 def estimate_conditional_stats(
     p: SystemParams,
-    strat: Strategy,
+    strat: ThresholdAffineStrategy,
     horizon: int,
     rng: RngHandle,
 ) -> ConditionalStats:
@@ -380,7 +381,7 @@ class StationarityReport:
 
 def stationarity_check(
     p: SystemParams,
-    strat: Strategy,
+    strat: ThresholdAffineStrategy,
     horizon: int,
     n_episodes: int,
     rng: RngHandle,

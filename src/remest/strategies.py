@@ -1,12 +1,11 @@
-"""Decision policies for the sensor-to-estimator pipeline: one vectorized
-threshold-affine policy (symmetric threshold transmit rule, affine encoder,
-sign-aware decoder) and the distinguished never-transmit policy, behind one
-pluggable interface.
+"""The model constants and the one decision policy of the sensor-to-estimator
+pipeline: a vectorized threshold-affine policy (symmetric threshold transmit
+rule, affine encoder, sign-aware decoder).  Always transmitting is its
+beta = 0 member and never transmitting its beta = inf member.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 
@@ -17,9 +16,7 @@ from .distributions import _require_positive
 __all__ = [
     "SystemParams",
     "payload_sign",
-    "Strategy",
     "ThresholdAffineStrategy",
-    "NeverTransmitStrategy",
 ]
 
 
@@ -74,38 +71,19 @@ def payload_sign(x):
     return np.where(np.asarray(x) >= 0.0, 1, -1)
 
 
-class Strategy(abc.ABC):
-    """Per-stage decision triple: transmit test, payload encoder, payload decoder.
-
-    Methods are elementwise over numpy arrays.  ``t`` carries 1-based stage
-    indices so time-varying policies are expressible; stationary policies
-    ignore it.  ``encode``/``decode`` are only ever called on transmitting
-    entries; the estimate of a silent stage is 0.
-    """
-
-    @abc.abstractmethod
-    def transmit(self, t, x):
-        """Boolean transmit decision per entry."""
-
-    @abc.abstractmethod
-    def encode(self, t, x):
-        """Channel payload for entries that transmit."""
-
-    @abc.abstractmethod
-    def decode(self, t, y_tilde, s):
-        """Source estimate for entries that transmit."""
-
-
 @dataclass(frozen=True)
-class ThresholdAffineStrategy(Strategy):
+class ThresholdAffineStrategy:
     """Transmit exactly when |x| strictly exceeds beta; encode
     alpha·(|x| - beta - 1/lam); decode
     sign·(shrink·y_tilde/alpha + shrink/lam + beta).
 
     The boundary |x| = beta stays silent, so beta = 0 transmits everything
-    except x = 0 (a zero-probability event for the sources here).
-    Conditioned on a transmission, |x| - beta is exponential with rate lam,
-    so the encoder output has conditional second moment exactly p_t.
+    except x = 0 (a zero-probability event for the sources here), and
+    beta = inf transmits nothing.  Conditioned on a transmission, |x| - beta
+    is exponential with rate lam, so the encoder output has conditional
+    second moment exactly p_t.  The maps are elementwise over arrays, with
+    ``t`` the 1-based stage indices; the coder maps are only called on
+    transmitting entries, and a silent stage estimates 0.
 
     With ``matched`` the decoder applies the MSE-optimal shrink
     gamma/(gamma+1); ``matched=False`` is the noise-blind baseline, whose
@@ -121,8 +99,8 @@ class ThresholdAffineStrategy(Strategy):
     switch_stage: int | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if not self.beta >= 0.0:  # also NaN
+            raise ValueError(f"beta must be >= 0 (inf never transmits), got {self.beta!r}")
 
     def _beta_at(self, t):
         if self.switch_stage is None:
@@ -140,19 +118,3 @@ class ThresholdAffineStrategy(Strategy):
         p = self.params
         shrink = p.gamma / (p.gamma + 1.0) if self.matched else 1.0
         return s * (shrink * y_tilde / p.alpha + shrink / p.lam + self._beta_at(t))
-
-
-@dataclass(frozen=True)
-class NeverTransmitStrategy(Strategy):
-    """Distinguished always-silent policy (not a beta = inf float)."""
-
-    params: SystemParams
-
-    def transmit(self, t, x):
-        return np.zeros(np.shape(x), dtype=bool)
-
-    def encode(self, t, x):
-        raise ValueError("never-transmit strategy cannot encode")
-
-    def decode(self, t, y_tilde, s):
-        raise ValueError("never-transmit strategy cannot decode")

@@ -3,6 +3,7 @@ one printed PASS/FAIL line per criterion (run with -s to see them all).
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -31,7 +32,7 @@ from remest.simulator import (
     run_episode,
     stationarity_check,
 )
-from remest.strategies import NeverTransmitStrategy, SystemParams, ThresholdAffineStrategy
+from remest.strategies import SystemParams, ThresholdAffineStrategy
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -189,7 +190,8 @@ def test_criterion_08_conditional_unbiasedness():
 
 
 def test_criterion_09_baseline_identities():
-    never_trace = run_episode(REF, NeverTransmitStrategy(REF), 10**6, RngHandle(20240, 6))
+    never = ThresholdAffineStrategy(REF, math.inf)
+    never_trace = run_episode(REF, never, 10**6, RngHandle(20240, 6))
     never_est = MonteCarloEstimate.from_samples(never_trace.stage_cost)
     never_ok = never_est.covers(2.0 / REF.lam**2, 4.0)
 

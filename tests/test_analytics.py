@@ -39,8 +39,22 @@ class TestClosedFormCost:
         assert b.tx_prob == 1.0
 
     def test_large_threshold_is_never_transmit(self):
-        b = cost_closed_form(REF, 50.0)
-        assert abs(b.total - 2.0 / REF.lam**2) < 1e-15
+        for beta in (50.0, 1e308):  # beta**2 is beyond the float range at 1e308
+            b = cost_closed_form(REF, beta)
+            assert abs(b.total - 2.0 / REF.lam**2) < 1e-15
+
+    def test_tail_where_beta_squared_is_beyond_the_float_range(self):
+        # at lambda = 1e-153, e^(-lam·beta) is still far from 0 where beta**2
+        # overflows (beta > 1.34e154) or beta² + 2·beta/lam does (1.3e154);
+        # the cost in z = lam·beta, with each tail term taken in logs, is
+        # (2 - e^(-z)·(z² + 2z + 2))/lam² + (c + m)·e^(-z)
+        p = SystemParams(lam=1e-153, k=1e-20, p_t=1.0, c=1.0)
+        for beta in (1.3e154, 1.4e154, 1e155, 1e156, 1e308):
+            z = p.lam * beta
+            tail = (math.exp(2.0 * math.log(z) - z) + 2.0 * math.exp(math.log(z) - z)
+                    + 2.0 * math.exp(-z))
+            expected = (2.0 - tail) / p.lam**2 + (p.c + p.m) * math.exp(-z)
+            assert cost_closed_form(p, beta).total == pytest.approx(expected, rel=1e-12)
 
     def test_breakdown_is_consistent(self):
         for beta in (0.0, 0.3, 1.0, 2.5):
@@ -70,6 +84,8 @@ class TestClosedFormCost:
             cost_closed_form(REF, -0.1)
         with pytest.raises(ValueError):
             cost_closed_form(REF, float("inf"))
+        with pytest.raises(ValueError):
+            cost_closed_form(REF, float("nan"))
 
 
 class TestCostDerivative:
@@ -97,8 +113,19 @@ class TestCostDerivative:
             assert cost_derivative(REF, beta) == pytest.approx(fd, abs=1e-6)
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            cost_derivative(REF, 0.0)
+        for beta in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                cost_derivative(REF, beta)
+
+    def test_where_beta_squared_is_beyond_the_float_range(self):
+        assert cost_derivative(REF, 1.4e154) == 0.0
+        assert cost_derivative(REF, 1e308) == 0.0
+        # lam·e^(-z)·beta² = z·e^(-z)·beta stays finite where beta**2 does not
+        p = SystemParams(lam=1e-153, k=1e-20, p_t=1.0, c=1.0)
+        beta = 2e155
+        z = p.lam * beta
+        expected = z * math.exp(-z) * beta - p.lam * math.exp(-z) * (p.c + p.m)
+        assert cost_derivative(p, beta) == pytest.approx(expected, rel=1e-12)
 
 
 class TestOptimalThreshold:

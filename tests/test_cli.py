@@ -177,6 +177,33 @@ class TestValidation:
             assert row["z"] is None and row["passed"] is False, name
             assert row["target"] is not None, name
 
+    def test_threshold_beyond_the_squared_float_range_exits_1(self, tmp_path, capsys):
+        # beta**2 overflows in the closed-form cost; J is its limit 2/lam²
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", strategy="threshold", beta=1e308,
+                           horizon=100, episodes=10, out=str(out))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "transmissions" in capsys.readouterr().err
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        rows = {r["metric"]: r for r in report["checks"]}
+        assert rows["per_stage_cost"]["target"] == 2.0
+        assert rows["tx_frequency"]["target"] == 0.0
+        assert report["passed"] is False
+
+    @pytest.mark.parametrize("omega_min, omega_max", [
+        (1.0, 1.0),
+        (5.0, -5.0),
+        (-1e308, 1e308),  # the span is beyond the float range
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_omega_range_is_config_error(self, tmp_path, capsys, omega_min, omega_max):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", omega_min=omega_min, omega_max=omega_max,
+                           samples=10_000, out=str(out))
+        assert main(["verify-matching", "--config", str(cfg)]) == 2
+        assert "'omega_min'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["seed", "stream"])
     def test_random_key_below_2_32(self, tmp_path, key):
         # larger keys would alias smaller ones in the random streams

@@ -15,8 +15,7 @@ from remest.distributions import (
 from remest.matching import (
     DEFAULT_OMEGA_GRID,
     MatchSpec,
-    centered_exponential_cf,
-    centered_gamma_cf,
+    centered_cf,
     check_matching,
     check_matching_empirical,
     gamma_power_closed_form,
@@ -57,8 +56,8 @@ class TestMatchSpecValidation:
 
     def test_cf_must_return_one_value_per_point(self):
         # a CF is called once on the whole grid; a scalar answer is an error
-        spec = MatchSpec(lambda w: 1.0 + 0j, centered_gamma_cf(2.0, 1.0), alpha=1.0, gamma=1.0,
-                         omega_grid=(-1.0, 0.0, 1.0))
+        spec = MatchSpec(lambda w: 1.0 + 0j, centered_cf(GammaDist(2.0, 1.0)), alpha=1.0,
+                         gamma=1.0, omega_grid=(-1.0, 0.0, 1.0))
         with pytest.raises(ValueError, match=r"got shape \(\)"):
             check_matching(spec)
 
@@ -76,7 +75,7 @@ class TestAnalyticMatching:
             assert report.max_residual < 1e-12, (lam, k, p_t)
 
     def test_identity_pair_residual_exactly_zero(self):
-        cf = centered_gamma_cf(2.0, 1.0)
+        cf = centered_cf(GammaDist(2.0, 1.0))
         spec = MatchSpec(source_cf=cf, noise_cf=cf, alpha=1.0, gamma=1.0)
         report = check_matching(spec)
         assert np.all(report.residual == 0.0)
@@ -251,13 +250,13 @@ class TestEmpiricalMatchingChunks:
 
 class TestCenteredCfs:
     def test_centered_exponential_has_zero_mean_slope(self):
-        cf = centered_exponential_cf(2.0)
+        cf = centered_cf(ExponentialDist(2.0))
         h = 1e-6
         deriv = (cf(h) - cf(-h)) / (2.0 * h)
         assert abs(deriv.imag) < 1e-6  # E of centered variable is 0
 
     def test_centered_gamma_matches_shifted_analytic(self):
-        cf = centered_gamma_cf(2.0, 1.5)
+        cf = centered_cf(GammaDist(2.0, 1.5))
         w = np.linspace(-3.0, 3.0, 13)
         expected = char_fn(GammaDist(2.0, 1.5), w) * np.exp(-1j * w * 3.0)
         np.testing.assert_allclose(cf(w), expected, rtol=1e-14)

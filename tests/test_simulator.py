@@ -21,16 +21,12 @@ from remest.simulator import (
     run_episode,
     stationarity_check,
 )
-from remest.strategies import (
-    NeverTransmitStrategy,
-    SystemParams,
-    ThresholdAffineStrategy,
-    payload_sign,
-)
+from remest.strategies import SystemParams, ThresholdAffineStrategy, payload_sign
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
 OPTIMAL = ThresholdAffineStrategy(REF, BETA_STAR)
+NEVER = ThresholdAffineStrategy(REF, math.inf)
 
 
 class TestMonteCarloEstimate:
@@ -144,7 +140,7 @@ class TestRunEpisode:
         assert tr.total_cost == pytest.approx(tr.stage_cost.sum(), rel=0.0)
 
     def test_never_transmit_episode(self):
-        tr = run_episode(REF, NeverTransmitStrategy(REF), 5, RngHandle(4))
+        tr = run_episode(REF, NEVER, 5, RngHandle(4))
         assert not tr.u.any()
         assert (tr.x_hat == 0.0).all()
         assert tr.total_cost == pytest.approx((tr.x**2).sum(), rel=1e-15)
@@ -181,7 +177,7 @@ class TestEstimateCost:
         assert est.covers(cost_closed_form(REF, BETA_STAR).total, sigmas=4.0)
 
     def test_never_transmit_matches_second_moment(self):
-        est = estimate_cost(REF, NeverTransmitStrategy(REF), 10_000, 100, RngHandle(2025, 1))
+        est = estimate_cost(REF, NEVER, 10_000, 100, RngHandle(2025, 1))
         assert est.covers(2.0 / REF.lam**2, sigmas=4.0)
 
     def test_optimum_beats_neighbors_under_crn(self):
@@ -387,7 +383,7 @@ class TestTransmitSetKernel:
         "optimal": OPTIMAL,
         "beta-0": ThresholdAffineStrategy(REF, 0.0),
         "noise-blind": ThresholdAffineStrategy(REF, BETA_STAR, matched=False),
-        "never": NeverTransmitStrategy(REF),
+        "never": NEVER,
         "switched": ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=50),
     }
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from remest.distributions import LaplaceDist, RngHandle, sample_laplace
-from remest.strategies import (
-    NeverTransmitStrategy,
-    SystemParams,
-    ThresholdAffineStrategy,
-    payload_sign,
-)
+from remest.strategies import SystemParams, ThresholdAffineStrategy, payload_sign
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 
@@ -66,8 +61,9 @@ class TestScheduler:
         assert _one(strat, 1e-12)
 
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            ThresholdAffineStrategy(REF, -0.1)
+        for beta in (-0.1, -np.inf, np.nan):  # NaN too: it compares false both ways
+            with pytest.raises(ValueError):
+                ThresholdAffineStrategy(REF, beta)
 
 
 class TestEncoder:
@@ -136,14 +132,11 @@ class TestBaselines:
         x = np.array([0.1, -0.2, 3.0, -4.0, 0.5])
         assert strat.transmit(t, x).all()
 
-    def test_never_transmit_is_distinguished(self):
-        strat = NeverTransmitStrategy(REF)
-        x = np.array([0.0, 100.0, -100.0])
-        assert not strat.transmit(np.arange(3), x).any()
-        with pytest.raises(ValueError):
-            strat.encode(np.array([1]), np.array([5.0]))
-        with pytest.raises(ValueError):
-            strat.decode(np.array([1]), np.array([5.0]), np.array([1]))
+    def test_never_transmit_is_infinite_threshold(self):
+        x = np.array([0.0, 100.0, -100.0, 1e308, -np.inf])
+        for switch_stage in (None, 1):
+            strat = ThresholdAffineStrategy(REF, np.inf, switch_stage=switch_stage)
+            assert not strat.transmit(np.arange(1, 6), x).any()
 
     def test_noise_blind_inverts_encoder_exactly(self):
         strat = ThresholdAffineStrategy(REF, beta=1.0, matched=False)
