@@ -29,10 +29,10 @@ from .distributions import (
 )
 from .matching import (
     CfResidualReport,
-    MatchSpec,
+    Pair,
     check_matching,
     check_matching_empirical,
-    matched_pair_spec,
+    pair,
 )
 from .simulator import (
     ConditionalStats,

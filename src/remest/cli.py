@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate`` (Monte Carlo vs closed-form checks), ``optimize``
 (threshold formula vs numeric argmin), ``verify-matching`` (analytic and
-empirical CF residuals), and ``sweep`` (formula/numeric agreement over a
+empirical CF residuals of the pair that ``matching.pair`` builds, on the
+config's omega grid), and ``sweep`` (formula/numeric agreement over a
 parameter grid).  Every run reads a flat JSON config, writes a deterministic
 report (JSON or CSV), and exits 0 exactly when all requested checks pass.
 """
@@ -20,17 +21,9 @@ from typing import Callable, NamedTuple, NoReturn
 import numpy as np
 
 from . import analytics, matching, simulator, strategies
-from .distributions import (
-    KEY_LIMIT,
-    ExponentialDist,
-    GammaDist,
-    LaplaceDist,
-    RngHandle,
-    char_fn,
-    sample_exponential,
-    sample_gamma,
-    sample_laplace,
-)
+# cli draws nothing itself; bench/test_smoke.py's
+# test_patch_reaches_names_imported_elsewhere reads sample_gamma here
+from .distributions import KEY_LIMIT, RngHandle, sample_gamma  # noqa: F401
 from .strategies import SystemParams
 
 SCHEMA_VERSION = 1
@@ -41,10 +34,6 @@ EMPIRICAL_RESIDUAL_TOL = 0.02
 UNMATCHED_ANALYTIC_MIN = 0.1
 UNMATCHED_EMPIRICAL_MIN = 0.05
 ARGMIN_AGREEMENT_TOL = 1e-6
-# Samples per chunk that verify-matching draws and passes on at a time:
-# 32 blocks of distributions.CF_BLOCK. numpy draws a sequence in chunks
-# bit for bit as it draws it at once, so the samples do not depend on it.
-SAMPLE_CHUNK = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -194,6 +183,15 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"config fields {', '.join(map(repr, keys))} of {list(point)} "
                                   f"are out of range: {exc}") from None
+    # the CFs take omega times alpha, theta, k*theta or 1/lambda, and the
+    # Laplace CF squares that product
+    if "omega_min" in cfg:
+        p = _params(cfg)
+        key = max(("omega_min", "omega_max"), key=lambda key: abs(cfg[key]))
+        reach = abs(cfg[key]) * max(p.alpha, p.theta, p.k * p.theta, 1.0 / p.lam)
+        if not math.isfinite(reach * reach):
+            _fail(key, "small enough that (|omega| * max(alpha, theta, k*theta, 1/lambda))^2 "
+                  "is finite", cfg[key])
     return cfg
 
 
@@ -328,12 +326,6 @@ def cmd_optimize(cfg: dict) -> dict:
                    **dict(zip(_OPTIMIZE_FIELDS[:-1], headline, strict=True)))
 
 
-def _chunks(n: int, draw: Callable[[int], np.ndarray]):
-    """``n`` samples, drawn lazily by ``draw(size)`` at most SAMPLE_CHUNK at a time."""
-    for lo in range(0, n, SAMPLE_CHUNK):
-        yield draw(min(SAMPLE_CHUNK, n - lo))
-
-
 def _cf_block(report: matching.CfResidualReport) -> dict:
     """A CF residual report's JSON block; NaN becomes null at the writer."""
     columns = (report.omega, report.lhs.real, report.lhs.imag, report.rhs.real,
@@ -350,40 +342,17 @@ def _cf_block(report: matching.CfResidualReport) -> dict:
 def cmd_verify_matching(cfg: dict) -> dict:
     """analytic and empirical characteristic-function residuals"""
     p = _params(cfg)
-    grid = tuple(np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"]))
-    rng = RngHandle(cfg["seed"], cfg["stream"])
-    n = cfg["samples"]
-
+    omega = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"])
     matched = cfg["pair"] == "matched"
-    if matched:
-        spec = matching.matched_pair_spec(p, grid)
-        expo, gam = ExponentialDist(p.lam), GammaDist(p.k, p.theta)
-        src_chunks = _chunks(n, lambda m: sample_exponential(expo, rng, size=m) - 1.0 / p.lam)
-        noise_chunks = _chunks(n, lambda m: sample_gamma(gam, rng, size=m) - p.k * p.theta)
-        tolerances = {"analytic": ANALYTIC_RESIDUAL_TOL, "empirical": EMPIRICAL_RESIDUAL_TOL}
-    else:
-        # deliberately unmatched: raw Laplace source vs raw gamma noise with
-        # unit gains, so the residual must be visibly large
-        lap = LaplaceDist(0.0, 1.0 / p.lam)
-        gam = GammaDist(p.k, p.theta)
-        spec = matching.MatchSpec(
-            source_cf=lambda w: char_fn(lap, w),
-            noise_cf=lambda w: char_fn(gam, w),
-            alpha=1.0,
-            gamma=1.0,
-            omega_grid=grid,
-        )
-        src_chunks = _chunks(n, lambda m: sample_laplace(lap, rng, size=m))
-        noise_chunks = _chunks(n, lambda m: sample_gamma(gam, rng, size=m))
-        tolerances = {"analytic": UNMATCHED_ANALYTIC_MIN, "empirical": UNMATCHED_EMPIRICAL_MIN}
-
+    pair = matching.pair(p, matched)
+    rng = RngHandle(cfg["seed"], cfg["stream"])
     reports = {
-        "analytic": matching.check_matching(spec),
-        # both sides draw from one handle; check_matching_empirical takes every
-        # source chunk before the first noise chunk, the order of one-shot draws
-        "empirical": matching.check_matching_empirical(
-            src_chunks, noise_chunks, spec.alpha, spec.gamma, grid),
+        "analytic": matching.check_matching(pair, omega),
+        "empirical": matching.check_matching_empirical(pair, omega, cfg["samples"], rng),
     }
+    tolerances = ({"analytic": ANALYTIC_RESIDUAL_TOL, "empirical": EMPIRICAL_RESIDUAL_TOL}
+                  if matched else
+                  {"analytic": UNMATCHED_ANALYTIC_MIN, "empirical": UNMATCHED_EMPIRICAL_MIN})
     basis = f"max reliable residual {'<' if matched else '>'} tolerance"
     checks = [
         _check(f"{label}_residual", report.max_residual, tolerances[label], basis,

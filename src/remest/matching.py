@@ -1,37 +1,34 @@
 """Characteristic-function matching checks.
 
 The affine coder is exactly optimal when the source CF evaluated at
-alpha·omega equals the gamma-th power of the noise CF.  This module verifies
-that identity numerically on an omega grid, both for analytic CFs and for
-empirical CFs built from samples, and reports per-point complex residuals.
+alpha·omega equals the gamma-th power of the noise CF.  :func:`pair` builds
+the two pairs of laws the program checks: the matched pair of the system
+parameters and a deliberately unmatched one.  This module verifies the
+identity on an omega grid, both with the analytic CFs and with empirical
+CFs of samples it draws, and reports per-point complex residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ExponentialDist, GammaDist, _require_positive, char_fn, empirical_char_fn
+from .distributions import (ExponentialDist, GammaDist, LaplaceDist, RngHandle, char_fn,
+                            empirical_char_fn, sample_exponential, sample_gamma, sample_laplace)
 from .strategies import SystemParams
 
 __all__ = [
-    "DEFAULT_OMEGA_GRID",
     "EMPIRICAL_MODULUS_FLOOR",
     "MIN_SAMPLES",
-    "MatchSpec",
+    "SAMPLE_CHUNK",
+    "Pair",
+    "pair",
     "CfResidualReport",
     "check_matching",
     "check_matching_empirical",
-    "centered_cf",
-    "matched_pair_spec",
-    "gamma_power_closed_form",
 ]
-
-# 101 uniform points on [-5, 5]: covers the main lobe of the reference CFs
-# while keeping |noise CF| well above zero everywhere on the grid.
-DEFAULT_OMEGA_GRID: tuple[float, ...] = tuple(np.linspace(-5.0, 5.0, 101))
 
 # Below this empirical modulus the gamma-th power amplifies sampling noise
 # too much for the residual to mean anything.
@@ -40,26 +37,42 @@ EMPIRICAL_MODULUS_FLOOR = 1e-3
 # The fewest samples per side an empirical check accepts.
 MIN_SAMPLES = 10_000
 
+# Samples per chunk that check_matching_empirical draws and folds at a time:
+# 32 blocks of distributions.CF_BLOCK. numpy draws a sequence in chunks
+# bit for bit as it draws it at once, so the samples do not depend on it.
+SAMPLE_CHUNK = 1 << 16
 
-@dataclass(frozen=True)
-class MatchSpec:
-    """One matching check: source CF, noise CF, gains, and the omega grid."""
+# The sampler of each law a pair can hold.
+_SAMPLERS = {
+    ExponentialDist: sample_exponential,
+    GammaDist: sample_gamma,
+    LaplaceDist: sample_laplace,
+}
 
-    source_cf: Callable
-    noise_cf: Callable
+
+class Pair(NamedTuple):
+    """A source law and a noise law, with the gains of the identity
+    source_cf(alpha·w) = noise_cf(w)^gamma.  With ``centered`` both laws
+    are taken less their means."""
+
+    source: ExponentialDist | LaplaceDist
+    noise: GammaDist
     alpha: float
     gamma: float
-    omega_grid: tuple[float, ...] = DEFAULT_OMEGA_GRID
+    centered: bool
 
-    def __post_init__(self) -> None:
-        _require_positive("alpha", self.alpha)
-        _require_positive("gamma", self.gamma)
-        grid = tuple(float(w) for w in self.omega_grid)
-        if len(grid) == 0:
-            raise ValueError("omega_grid must be non-empty")
-        if not all(np.isfinite(grid)):
-            raise ValueError("omega_grid must contain only finite values")
-        object.__setattr__(self, "omega_grid", grid)
+
+def pair(params: SystemParams, matched: bool) -> Pair:
+    """The matched pair for the system parameters: the mean-centered
+    exponential source against the mean-centered gamma noise, with
+    alpha = lam·theta and gamma = 1/k.  Its analytic residual is zero up to
+    roundoff, which is the machine-checkable half of the matching condition.
+    Unmatched: the raw Laplace source against the raw gamma noise with unit
+    gains, so the residual must be visibly large."""
+    noise = GammaDist(params.k, params.theta)
+    if matched:
+        return Pair(ExponentialDist(params.lam), noise, params.alpha, params.gamma, True)
+    return Pair(LaplaceDist(0.0, 1.0 / params.lam), noise, 1.0, 1.0, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +92,12 @@ class CfResidualReport:
     max_residual: float
 
 
-def _cf_values(fn: Callable, omega: np.ndarray) -> np.ndarray:
-    """``fn`` at every grid point; a CF maps an array of omegas to one
-    complex value per point."""
-    out = np.asarray(fn(omega), dtype=np.complex128)
-    if out.shape != omega.shape:
-        raise ValueError(f"a CF must return one value per omega point, shape {omega.shape}, "
-                         f"got shape {out.shape}")
-    return out
+def _cf(dist, omega: np.ndarray, centered: bool) -> np.ndarray:
+    """The analytic CF of ``dist`` at ``omega``, of the law less its mean
+    when ``centered``.  Centring is a branch, not a shift by a zero mean:
+    multiplying by exp(-j·w·0) would flip the sign of zero imaginary parts."""
+    out = char_fn(dist, omega)
+    return out * np.exp(-1j * omega * dist.mean) if centered else out
 
 
 def _continuous_power(values: np.ndarray, exponent: float, usable: np.ndarray,
@@ -127,53 +138,54 @@ def _build_report(omega: np.ndarray, lhs: np.ndarray, noise: np.ndarray, gamma: 
     return CfResidualReport(omega, lhs, rhs, residual, reliable, top)
 
 
-def check_matching(spec: MatchSpec) -> CfResidualReport:
-    """Compare source_cf(alpha·w) against noise_cf(w)^gamma on the grid.
+def check_matching(pair: Pair, omega) -> CfResidualReport:
+    """Compare the source CF at alpha·w against the noise CF at w to the
+    power gamma, at every point w of the grid ``omega``.
 
-    Pure function of the spec; records are sorted by omega, so reordering
-    the input grid cannot change the report.  Grid points where the noise CF
-    vanishes have no well-defined power and are reported unreliable.
+    Pure function of its arguments; records are sorted by omega, so
+    reordering the grid cannot change the report.  Grid points where the
+    noise CF vanishes have no well-defined power and are reported unreliable.
     """
-    omega = np.sort(np.asarray(spec.omega_grid, dtype=np.float64), kind="stable")
-    lhs = _cf_values(spec.source_cf, spec.alpha * omega)
-    noise = _cf_values(spec.noise_cf, omega)
-    return _build_report(omega, lhs, noise, spec.gamma, np.abs(noise) > 0.0)
+    omega = np.sort(np.asarray(omega, dtype=np.float64), kind="stable")
+    lhs = _cf(pair.source, pair.alpha * omega, pair.centered)
+    noise = _cf(pair.noise, omega, pair.centered)
+    return _build_report(omega, lhs, noise, pair.gamma, np.abs(noise) > 0.0)
 
 
-def _mean_cf(chunks, omega: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """Empirical CF at ``omega`` over an iterable of 1-D sample chunks, and
-    the sample count: one :func:`empirical_char_fn` call per chunk, folded as
-    a running mean acc += (phi - acc)·m/n.  The first chunk's CF is taken as
-    is, so a single chunk gives exactly the CF of its array."""
+def _mean_cf(chunks, omega: np.ndarray) -> np.ndarray:
+    """Empirical CF at ``omega`` over an iterable of 1-D sample chunks: one
+    :func:`empirical_char_fn` call per chunk, folded as a running mean
+    acc += (phi - acc)·m/n.  The first chunk's CF is taken as is, so a
+    single chunk gives exactly the CF of its array."""
     acc, n = None, 0
-    for chunk in chunks:
-        x = np.asarray(chunk, dtype=np.float64)
-        if x.ndim != 1:
-            raise TypeError(f"each sample chunk must be a 1-D array, got shape {x.shape}")
-        if x.size == 0:
-            continue
+    for x in chunks:
         n += x.size
-        phi = np.atleast_1d(empirical_char_fn(x, omega))
+        phi = empirical_char_fn(x, omega)
         if acc is None:
             acc = phi
         else:
             acc += (phi - acc) * (x.size / n)
-    return acc, n
+    return acc
 
 
-def check_matching_empirical(
-    source_chunks,
-    noise_chunks,
-    alpha: float,
-    gamma: float,
-    omega_grid: Sequence[float] | None = None,
-) -> CfResidualReport:
-    """Sampling-based version of :func:`check_matching`.
+def _draws(dist, samples: int, rng: RngHandle, centered: bool):
+    """``samples`` draws of ``dist``, less its mean when ``centered``, drawn
+    lazily at most SAMPLE_CHUNK at a time."""
+    sample = _SAMPLERS[type(dist)]
+    for lo in range(0, samples, SAMPLE_CHUNK):
+        x = sample(dist, rng, size=min(SAMPLE_CHUNK, samples - lo))
+        if centered:  # in place: a second array would stay alive while x is folded
+            x -= dist.mean
+        yield x
 
-    Each side is an iterable of 1-D sample chunks (a list of arrays, or a
-    generator that draws them); one array is passed as ``[array]``.  Every
-    source chunk is consumed before the first noise chunk, so two
-    generators drawing from one random stream draw in that order.
+
+def check_matching_empirical(pair: Pair, omega, samples: int, rng: RngHandle) -> CfResidualReport:
+    """Sampling-based version of :func:`check_matching`, on ``samples``
+    draws per side from ``rng``.
+
+    Each side is drawn lazily, SAMPLE_CHUNK samples at a time, and every
+    source chunk is drawn before the first noise chunk: the draws are
+    exactly those of one-shot arrays of the source and then of the noise.
 
     Both sides use empirical CFs, so the residual floor is set by Monte
     Carlo error (roughly 1/sqrt(N) per point, amplified by the gamma-th
@@ -187,62 +199,10 @@ def check_matching_empirical(
     the concatenated samples up to roundoff.  Memory is one chunk at a time
     plus the CF's few hundred KiB of blocks, whatever the sample count.
     """
-    _require_positive("alpha", alpha)
-    _require_positive("gamma", gamma)
-    grid = DEFAULT_OMEGA_GRID if omega_grid is None else omega_grid
-    omega = np.sort(np.asarray(grid, dtype=np.float64), kind="stable")
-    if omega.size == 0 or not np.all(np.isfinite(omega)):
-        raise ValueError("omega_grid must be non-empty and finite")
-    if isinstance(source_chunks, np.ndarray) or isinstance(noise_chunks, np.ndarray):
-        raise TypeError("each side must be an iterable of 1-D sample chunks; "
-                        "pass [array] for one array")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per side, got {samples}")
+    omega = np.sort(np.asarray(omega, dtype=np.float64), kind="stable")
+    lhs = _mean_cf(_draws(pair.source, samples, rng, pair.centered), pair.alpha * omega)
+    noise = _mean_cf(_draws(pair.noise, samples, rng, pair.centered), omega)
+    return _build_report(omega, lhs, noise, pair.gamma, np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR)
 
-    lhs, n_src = _mean_cf(source_chunks, alpha * omega)
-    noise, n_noise = _mean_cf(noise_chunks, omega)
-    if n_src < MIN_SAMPLES or n_noise < MIN_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_SAMPLES} samples per side, "
-            f"got {n_src} source and {n_noise} noise"
-        )
-    return _build_report(omega, lhs, noise, gamma, np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR)
-
-
-def centered_cf(dist) -> Callable:
-    """CF of X - E[X] where X is drawn from ``dist``."""
-    def cf(omega):
-        w = np.asarray(omega, dtype=np.float64)
-        return char_fn(dist, w) * np.exp(-1j * w * dist.mean)
-
-    return cf
-
-
-def matched_pair_spec(params: SystemParams,
-                      omega_grid: Sequence[float] | None = None) -> MatchSpec:
-    """The exactly-matching pair for the system parameters: the mean-centered
-    exponential source against the mean-centered gamma noise, with
-    alpha = lam·theta and gamma = 1/k.  Its analytic residual is zero up to
-    roundoff, which is the machine-checkable half of the matching condition.
-    """
-    grid = DEFAULT_OMEGA_GRID if omega_grid is None else tuple(omega_grid)
-    return MatchSpec(
-        source_cf=centered_cf(ExponentialDist(params.lam)),
-        noise_cf=centered_cf(GammaDist(params.k, params.theta)),
-        alpha=params.alpha,
-        gamma=params.gamma,
-        omega_grid=grid,
-    )
-
-
-def gamma_power_closed_form(shape: float, scale: float, exponent: float, omega):
-    """The gamma-th power of the centered-gamma CF with the exponent applied
-    inside the closed form: (1 - j·w·scale)^(-shape·g) · exp(-j·w·shape·scale·g).
-
-    Log(1 - j·w·scale) is principal-safe (real part is 1), so this is immune
-    to branch wrapping and serves as the independent cross-check for
-    :func:`_continuous_power`.
-    """
-    w = np.asarray(omega, dtype=np.float64)
-    return np.exp(
-        -shape * exponent * np.log(1.0 - 1j * w * scale)
-        - 1j * w * shape * scale * exponent
-    )

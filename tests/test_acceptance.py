@@ -18,14 +18,8 @@ from remest.analytics import (
     threshold_sweep,
 )
 from remest.cli import main as cli_main
-from remest.distributions import (
-    ExponentialDist,
-    GammaDist,
-    RngHandle,
-    sample_exponential,
-    sample_gamma,
-)
-from remest.matching import check_matching, check_matching_empirical, matched_pair_spec
+from remest.distributions import RngHandle
+from remest.matching import check_matching, check_matching_empirical, pair
 from remest.simulator import (
     MonteCarloEstimate,
     estimate_conditional_stats,
@@ -54,13 +48,9 @@ def _report(num, name, passed, detail):
 
 def test_criterion_01_matching_condition():
     start = time.monotonic()
-    analytic = check_matching(matched_pair_spec(REF))
-
-    n = 10**6
-    rng = RngHandle(20240, 0)
-    src = sample_exponential(ExponentialDist(REF.lam), rng, size=n) - 1.0 / REF.lam
-    noise = sample_gamma(GammaDist(REF.k, REF.theta), rng, size=n) - REF.k * REF.theta
-    empirical = check_matching_empirical([src], [noise], REF.alpha, REF.gamma)
+    omega = np.linspace(-5.0, 5.0, 101)
+    analytic = check_matching(pair(REF, True), omega)
+    empirical = check_matching_empirical(pair(REF, True), omega, 10**6, RngHandle(20240, 0))
     elapsed = time.monotonic() - start
 
     passed = (

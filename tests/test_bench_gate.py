@@ -60,6 +60,18 @@ def test_report_passes_the_benchmark_gate(name, tmp_path):
     assert workload.gate(report, workload.config) == []
 
 
+def test_cf_matching_route_hits_every_must_hit_span(tmp_path):
+    # a refactor that bypasses a sampler or the empirical CF records no span for it
+    workload = workloads.build("cf_matching", 1, "tiny")
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(workload.config))
+    recorder = tracing.Recorder()
+    with tracing.Patch(recorder):
+        assert main([workload.command, "--config", str(config), "--out", str(out)]) == 0
+    recorded = {span.name for span in recorder.spans}
+    assert set(workload.must_hit) - recorded == set()
+
+
 def test_every_trace_seam_exists_and_is_restored():
     before = _bindings()
     with tracing.Patch(tracing.Recorder()) as patch:

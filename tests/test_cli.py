@@ -204,6 +204,34 @@ class TestValidation:
         assert "'omega_min'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"lambda": 4.0, "omega_min": 0.0, "omega_max": 1e308}, "omega_max"),  # alpha*omega
+        ({"lambda": 0.1, "p_t": 16.0, "omega_min": 0.0, "omega_max": 1e308},  # theta*omega
+         "omega_max"),
+        ({"pair": "unmatched", "omega_max": 1e200}, "omega_max"),  # (omega/lambda)^2
+        ({"pair": "unmatched", "omega_min": -1e200, "omega_max": 0.0}, "omega_min"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_that_overflows_a_cf_argument_is_config_error(self, tmp_path, capsys, fields,
+                                                              key):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", samples=10_000, out=str(out), **fields)
+        assert main(["verify-matching", "--config", str(cfg)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"pair": "unmatched"},
+        {"lambda": 4.0, "omega_min": 0.0, "omega_max": 3e153},
+        {"pair": "unmatched", "omega_min": -5e153, "omega_max": 0.0},
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_whose_cf_arguments_square_finitely_is_accepted(self, tmp_path, fields):
+        cfg = write_config(tmp_path / "cfg.json", **fields)
+        assert load_config(str(cfg), "verify-matching", {})["omega_max"] == fields.get(
+            "omega_max", 5.0)
+
     @pytest.mark.parametrize("key", ["seed", "stream"])
     def test_random_key_below_2_32(self, tmp_path, key):
         # larger keys would alias smaller ones in the random streams

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from remest.cli import SAMPLE_CHUNK
 from remest.distributions import (
     CF_BLOCK,
     ExponentialDist,
@@ -17,6 +16,7 @@ from remest.distributions import (
     sample_gamma,
     sample_laplace,
 )
+from remest.matching import SAMPLE_CHUNK
 
 N = 10**6
 
