@@ -67,7 +67,13 @@ def cost_closed_form(p: SystemParams, beta: float) -> CostBreakdown:
     """
     if not math.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    lam = p.lam
+    return CostBreakdown(*_cost_terms(p.lam, p.c, p.m, beta))
+
+
+def _cost_terms(lam: float, c: float, m: float, beta: float):
+    """(total, comm, est_no_tx, est_tx, tx_prob) of :func:`cost_closed_form`
+    at a valid ``beta``; ``numeric_argmin`` reads the total of each probe
+    from here without building a CostBreakdown."""
     tx_prob = math.exp(-lam * beta)
     try:
         tail = tx_prob * (beta**2 + 2.0 * beta / lam + 2.0 / lam**2)
@@ -77,15 +83,9 @@ def cost_closed_form(p: SystemParams, beta: float) -> CostBreakdown:
         z = lam * beta
         tail = tx_prob and tx_prob * (z * z + 2.0 * z + 2.0) / lam**2
     est_no_tx = 2.0 / lam**2 - tail
-    comm = p.c * tx_prob
-    est_tx = p.m * tx_prob
-    return CostBreakdown(
-        total=est_no_tx + comm + est_tx,
-        comm=comm,
-        est_no_tx=est_no_tx,
-        est_tx=est_tx,
-        tx_prob=tx_prob,
-    )
+    comm = c * tx_prob
+    est_tx = m * tx_prob
+    return est_no_tx + comm + est_tx, comm, est_no_tx, est_tx, tx_prob
 
 
 def cost_derivative(p: SystemParams, beta: float) -> float:
@@ -123,8 +123,10 @@ def numeric_argmin(p: SystemParams) -> float:
     J(hi) < J(hi/2).  The cost is unimodal on (0, inf), so the minimizer then
     lies below ``hi``; a cost flat in float64 stops the doubling too.
     """
+    lam, c, m = p.lam, p.c, p.m
+
     def objective(b: float) -> float:
-        return cost_closed_form(p, b).total
+        return _cost_terms(lam, c, m, b)[0]
 
     hi = ARGMIN_START
     while objective(hi) < objective(hi / 2.0):

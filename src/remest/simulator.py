@@ -9,8 +9,9 @@ column piece of one episode when the horizon is longer than a block), block
 i draws its source and noise from ``rng.substream(i)``, the policy is
 applied once per block, and each estimator folds the blocks, in block
 order, into its own small reducer.  Memory therefore stays bounded by the
-block size.  ``estimate_cost`` can fold the conditional moments in the
-same pass.
+block size.  ``estimate_cost`` can fold the transmission-conditional
+statistics in the same pass: one fused reducer per block sums four shifted
+rows of the transmit set and their squares (see ``_fold``).
 """
 
 from __future__ import annotations
@@ -112,11 +113,13 @@ class Moments:
     def estimate(self) -> MonteCarloEstimate:
         if self.n < 2:
             raise ValueError(f"need at least 2 samples for a standard error, got {self.n}")
-        return MonteCarloEstimate(
-            mean=float(self.mean),
-            std_error=float(np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)),
-            n=self.n,
-        )
+        return _estimate(self.n, self.mean, self.m2)
+
+
+def _estimate(n: int, mean, m2) -> MonteCarloEstimate:
+    """The estimate of the mean of ``n`` >= 2 samples from their mean and M2."""
+    se = np.sqrt(m2 / (n - 1)) / np.sqrt(n)
+    return MonteCarloEstimate(mean=float(mean), std_error=float(se), n=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,42 +289,83 @@ class ConditionalStats:
     problem: str | None = None
 
 
+def _shifted_estimate(n: int, shift: float, total: float,
+                      squares: float) -> MonteCarloEstimate | None:
+    """The estimate of ``n`` samples, or None below 2, from the sum and the
+    sum of squares of the samples less ``shift``."""
+    if n < 2:
+        return None
+    # (s/n)·s, not s²/n: s² can overflow where the sum of squares does not;
+    # roundoff can take the M2 of near-constant samples below 0
+    return _estimate(n, shift + total / n, max(squares - total / n * total, 0.0))
+
+
 def _fold(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episodes: int,
           rng: RngHandle, conditional: bool):
     """One pass over the blocks: the episode totals and, with ``conditional``,
-    the ConditionalStats of the same stages (else None)."""
+    the ConditionalStats of the same stages (else None).
+
+    The conditional reducer writes the rows err, y², err²·1{s < 0} and
+    err²·1{s > 0} of a block's transmit set, with err = x_hat - x, into one
+    array, less a shift: the means of err, y² and err² over the first
+    transmitting block.  It keeps running totals of the row sums and the row
+    sums of squares, and the counts of transmissions and of positive ones;
+    err² over both branches is the sum of the two branch rows.  Shifted sums
+    keep the cancellation in M2 = Σd² - (Σd)²/n as small as the shift is
+    close to the mean (Chan, Golub & LeVeque 1979, §2), and each row's sum
+    of squares overflows only where its M2 does.
+    """
     totals = np.zeros(n_episodes)
-    acc = (Moments(),) * 5  # mse_tx, mse_tx_pos, mse_tx_neg, power, bias_tx
+    n_tx = n_pos = 0  # transmissions, positive ones
+    sums = np.zeros((2, 4))  # the shifted rows' sums and sums of squares
+    shift = None
 
     def reduce(b: _Block):
-        part = ()
-        if conditional:  # the conditional reducer, on the transmit set
-            err = b.xhat_on - b.x_on
-            sq = np.square(err)
-            pos = b.s_on == 1
-            part = (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
-                    Moments.of(np.square(b.y_on)), Moments.of(err))
-        return b.r0, b.r1, _stage_cost(p, b).sum(axis=1), part
+        nonlocal n_tx, n_pos, shift
+        cost = _stage_cost(p, b).sum(axis=1)  # frees the block's stage costs first
+        if conditional and b.on.size:
+            d = np.empty((4, b.on.size))
+            np.subtract(b.xhat_on, b.x_on, out=d[0])
+            np.square(b.y_on, out=d[1])
+            np.square(d[0], out=d[2])
+            if shift is None:
+                shift = np.add.reduce(d[:3], axis=1, keepdims=True) / b.on.size
+            d[:3] -= shift
+            pos = b.s_on > 0
+            np.multiply(d[2], pos, out=d[3])
+            d[2] -= d[3]  # exact: d - d = 0 and d - 0 = d
+            sums[0] += np.add.reduce(d, axis=1)
+            sums[1] += np.add.reduce(np.square(d, out=d), axis=1)
+            n_tx += b.on.size
+            n_pos += int(np.count_nonzero(pos))
+        return b.r0, b.r1, cost
 
-    for r0, r1, sums, part in _simulate(p, strat, horizon, n_episodes, rng, reduce):
-        totals[r0:r1] += sums
-        if part:
-            acc = tuple(a.merge(m) for a, m in zip(acc, part))
+    for r0, r1, part in _simulate(p, strat, horizon, n_episodes, rng, reduce):
+        totals[r0:r1] += part
     if not conditional:
         return totals, None
-    # the finisher; tx_frequency from the exact count k: mean k/n, M2 = k(n - k)/n
-    mse, pos, neg, power, bias = acc
-    n, n_tx = int(horizon) * n_episodes, mse.n
-    freq = Moments(n, n_tx / n, n_tx * (n - n_tx) / n)
-    problem = None
+    # tx_frequency from the exact count k: mean k/n, M2 = k(n - k)/n
+    n = int(horizon) * n_episodes
+    freq = _estimate(n, n_tx / n, n_tx * (n - n_tx) / n)
     if n_tx < MIN_TRANSMISSIONS:
         problem = (f"only {n_tx} transmissions in {n} stages; "
                    f"need at least {MIN_TRANSMISSIONS} for conditional statistics")
-        mse = pos = neg = power = bias = Moments()
-    elif pos.n < 2 or neg.n < 2:
+        return totals, ConditionalStats(None, None, None, None, freq, None, n_tx, problem)
+    (s_err, s_y2, s_neg, s_pos), (q_err, q_y2, q_neg, q_pos) = sums
+    k_err, k_y2, k_sq = shift[:, 0]
+    problem = None
+    if n_pos < 2 or n_tx - n_pos < 2:
         problem = "a sign branch has fewer than 2 transmissions"
-    estimates = (m.estimate() if m.n >= 2 else None for m in (mse, pos, neg, power, freq, bias))
-    return totals, ConditionalStats(*estimates, n_transmissions=n_tx, problem=problem)
+    return totals, ConditionalStats(
+        mse_tx=_shifted_estimate(n_tx, k_sq, s_neg + s_pos, q_neg + q_pos),
+        mse_tx_pos=_shifted_estimate(n_pos, k_sq, s_pos, q_pos),
+        mse_tx_neg=_shifted_estimate(n_tx - n_pos, k_sq, s_neg, q_neg),
+        power=_shifted_estimate(n_tx, k_y2, s_y2, q_y2),
+        tx_frequency=freq,
+        bias_tx=_shifted_estimate(n_tx, k_err, s_err, q_err),
+        n_transmissions=n_tx,
+        problem=problem,
+    )
 
 
 def estimate_cost(
@@ -361,7 +405,7 @@ def estimate_conditional_stats(
     Returns estimates of the conditional squared error (overall and per sign
     branch), the conditional payload power E[Y²|U=1], the transmit frequency,
     and the conditional estimator bias E[x_hat - x | U=1], each reduced
-    block by block into streaming moments.  With fewer than
+    block by block into shifted sums and sums of squares.  With fewer than
     MIN_TRANSMISSIONS transmissions the transmission-conditional
     statistics cannot be estimated, nor can a sign branch with fewer than 2
     transmissions; those statistics are then None and ``problem`` says why.

@@ -14,6 +14,7 @@ from remest.distributions import (
 )
 from remest.simulator import (
     CHUNK_STAGES,
+    MIN_TRANSMISSIONS,
     Moments,
     MonteCarloEstimate,
     estimate_conditional_stats,
@@ -374,6 +375,53 @@ def _reference_blocks(p, strat, horizon, n_episodes, rng):
         yield r0, r1, c0, x, v, u, x_hat, y_on, s_on, cost
 
 
+def _reference_conditional(blocks):
+    """The conditional fold written plainly, one row at a time.
+
+    Each transmitting block gives the rows err = x_hat - x, y², and err² of
+    its transmit set, less their means over the first transmitting block;
+    the shifted err² is split by sign into two rows.  The rows' sums and
+    sums of squares are added up in block order, and err² over both
+    branches adds the two branch rows.  Returns the five
+    transmission-conditional estimates by name (None below
+    MIN_TRANSMISSIONS transmissions, or below 2 samples) and the number of
+    transmissions."""
+    n_tx = n_pos = 0
+    shift = None
+    sums, squares = [0.0] * 4, [0.0] * 4
+    for _, _, _, x, _, u, x_hat, y_on, s_on, _ in blocks:
+        if not u.any():
+            continue
+        err = x_hat[u] - x[u]
+        rows = [err, np.square(y_on), np.square(err)]
+        if shift is None:
+            shift = [np.sum(row) / row.size for row in rows]
+        dev = [row - k for row, k in zip(rows, shift)]
+        pos = s_on > 0
+        dev[2:] = [np.where(pos, 0.0, dev[2]), np.where(pos, dev[2], 0.0)]
+        for i, row in enumerate(dev):
+            sums[i] += np.sum(row)
+            squares[i] += np.sum(np.square(row))
+        n_tx += err.size
+        n_pos += int(np.count_nonzero(pos))
+
+    def estimate(n, k, s, q):
+        if n_tx < MIN_TRANSMISSIONS or n < 2:
+            return None
+        m2 = max(q - s / n * s, 0.0)
+        return MonteCarloEstimate(mean=float(k + s / n),
+                                  std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n), n=n)
+
+    k_err, k_y2, k_sq = shift or (0.0, 0.0, 0.0)
+    return {
+        "mse_tx": estimate(n_tx, k_sq, sums[2] + sums[3], squares[2] + squares[3]),
+        "mse_tx_pos": estimate(n_pos, k_sq, sums[3], squares[3]),
+        "mse_tx_neg": estimate(n_tx - n_pos, k_sq, sums[2], squares[2]),
+        "power": estimate(n_tx, k_y2, sums[1], squares[1]),
+        "bias_tx": estimate(n_tx, k_err, sums[0], squares[0]),
+    }, n_tx
+
+
 class TestTransmitSetKernel:
     """The kernel runs the policy on the transmit set only; every estimator
     and every trace column equals, bit for bit, what the plain full-array
@@ -427,53 +475,38 @@ class TestTransmitSetKernel:
     def test_estimate_conditional_stats(self, case):
         strat, horizon, episodes = case
         stages = horizon * episodes
-        acc = (Moments(),) * 6
-        for _, _, _, x, v, u, x_hat, y_on, s_on, _ in _reference_blocks(
-                REF, strat, stages, 1, RngHandle(33)):
-            err = x_hat[u] - x[u]
-            sq = np.square(err)
-            pos = s_on == 1
-            part = (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
-                    Moments.of(np.square(y_on)), Moments.of(u), Moments.of(err))
-            acc = tuple(a.merge(b) for a, b in zip(acc, part))
+        blocks = list(_reference_blocks(REF, strat, stages, 1, RngHandle(33)))
+        want, n_tx = _reference_conditional(blocks)
+        freq = Moments()
+        for *_, u, _, _, _, _ in blocks:
+            freq = freq.merge(Moments.of(u))
         stats = estimate_conditional_stats(REF, strat, stages, RngHandle(33))
-        assert stats.n_transmissions == acc[0].n
-        assert stats.tx_frequency == acc[4].estimate()
-        names = ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "tx_frequency", "bias_tx")
-        for name, moments in zip(names, acc):
-            got = getattr(stats, name)
-            assert got is None or got == moments.estimate(), name
+        assert stats.n_transmissions == n_tx
+        assert stats.tx_frequency == freq.estimate()
+        for name, estimate in want.items():
+            assert getattr(stats, name) == estimate, name
 
     def test_one_pass_pools_the_cost_episodes(self, case):
         # estimate_cost(conditional=True): the conditional rows pool every
         # stage of the cost episodes' blocks, and the cost is unchanged
         strat, horizon, episodes = case
         stages = horizon * episodes
+        blocks = list(_reference_blocks(REF, strat, horizon, episodes, RngHandle(35)))
         totals = np.zeros(episodes)
-        acc = (Moments(),) * 5
-        for r0, r1, _, x, _, u, x_hat, y_on, s_on, cost in _reference_blocks(
-                REF, strat, horizon, episodes, RngHandle(35)):
+        for r0, r1, *_, cost in blocks:
             totals[r0:r1] += cost.sum(axis=1)
-            err = x_hat[u] - x[u]
-            sq = np.square(err)
-            pos = s_on == 1
-            part = (Moments.of(sq), Moments.of(sq[pos]), Moments.of(sq[~pos]),
-                    Moments.of(np.square(y_on)), Moments.of(err))
-            acc = tuple(a.merge(b) for a, b in zip(acc, part))
+        want, k = _reference_conditional(blocks)
         cost, stats = estimate_cost(REF, strat, horizon, episodes, RngHandle(35),
                                     conditional=True)
         assert cost == MonteCarloEstimate.from_samples(totals / horizon)
         assert cost == estimate_cost(REF, strat, horizon, episodes, RngHandle(35))
         # the transmit frequency from the exact count k of the stages
-        k = acc[0].n
         assert stats.n_transmissions == k
         exact = Moments(stages, k / stages, k * (stages - k) / stages)
         assert stats.tx_frequency == exact.estimate()
         assert stats.tx_frequency.n == stages
-        names = ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx")
-        for name, moments in zip(names, acc):
-            got = getattr(stats, name)
-            assert got is None or got == moments.estimate(), name
+        for name, estimate in want.items():
+            assert getattr(stats, name) == estimate, name
 
     def test_run_episode_columns(self, case):
         strat, horizon, episodes = case
@@ -498,3 +531,157 @@ class TestTransmitSetKernel:
             assert got.dtype == column.dtype, name
             assert np.array_equal(got, column, equal_nan=True), name
         assert tr.total_cost == float(want["stage_cost"].sum())
+
+
+def _transmitting(rule, p=REF):
+    """The optimal policy's coder maps under the transmit rule ``rule(t, x)``."""
+    class Rule(ThresholdAffineStrategy):
+        def transmit(self, t, x):
+            return np.broadcast_to(rule(np.asarray(t), np.asarray(x)), np.shape(x))
+
+    return Rule(p, optimal_threshold(p))
+
+
+# silent through the first block of each episode and once at the first stage
+# of the second, then the optimal threshold: the first transmitting block
+# holds a single transmission, and it sets the conditional fold's shift
+SPARSE_START = _transmitting(
+    lambda t, x: (np.abs(x) > BETA_STAR) & (t > 2 * CHUNK_STAGES) | (t == CHUNK_STAGES + 1))
+
+
+class _OffsetDecoder(ThresholdAffineStrategy):
+    """The optimal policy with 1e4 added to every estimate: err² then lies
+    far from 0 against its spread, where an M2 from unshifted sums,
+    Σx² - (Σx)²/n, loses about eight digits."""
+
+    def decode(self, t, y_tilde, s):
+        return super().decode(t, y_tilde, s) + 1e4
+
+
+def _fsum_estimate(samples) -> tuple[int, float, float]:
+    """n, mean and standard error of the samples, from exactly rounded sums."""
+    values = [float(v) for v in samples]
+    n = len(values)
+    mean = math.fsum(values) / n
+    m2 = math.fsum((v - mean) ** 2 for v in values)
+    return n, mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
+def _assert_fsum_moments(stats, samples, rows):
+    """Each row's count, and its mean and SE to 1e-12 of the fsum moments."""
+    for row in rows:
+        n, mean, se = _fsum_estimate(samples[row])
+        got = getattr(stats, row)
+        assert got.n == n, row
+        np.testing.assert_allclose(got.mean, mean, rtol=1e-12, atol=0, err_msg=row)
+        np.testing.assert_allclose(got.std_error, se, rtol=1e-12, atol=0, err_msg=row)
+
+
+def _transmit_set_samples(p, strat, horizon, n_episodes, rng):
+    """The samples of each ConditionalStats row, from the plain kernel."""
+    err, y_on, s_on, u = [], [], [], []
+    for _, _, _, x, _, on, x_hat, y, s, _ in _reference_blocks(p, strat, horizon, n_episodes,
+                                                                rng):
+        err.append(x_hat[on] - x[on])
+        y_on.append(y)
+        s_on.append(s)
+        u.append(on.ravel())
+    err, y_on, s_on = np.concatenate(err), np.concatenate(y_on), np.concatenate(s_on)
+    return {
+        "mse_tx": err**2,
+        "mse_tx_pos": err[s_on == 1] ** 2,
+        "mse_tx_neg": err[s_on == -1] ** 2,
+        "power": y_on**2,
+        "tx_frequency": np.concatenate(u),
+        "bias_tx": err,
+    }
+
+
+class TestConditionalFold:
+    """The fused conditional reducer against exactly rounded moments of the
+    concatenated transmit-set samples, and at its edges."""
+
+    CASES = {
+        "optimal": (OPTIMAL, 1_000, 20),
+        "noise-blind": (ThresholdAffineStrategy(REF, BETA_STAR, matched=False), 1_000, 20),
+        "switched": (ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=50),
+                     CHUNK_STAGES + 17, 3),
+        "sparse-start": (SPARSE_START, 3 * CHUNK_STAGES + 500, 2),
+        "offset-decoder": (_OffsetDecoder(REF, BETA_STAR), 1_000, 20),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_fsum_moments(self, name):
+        strat, horizon, episodes = self.CASES[name]
+        _, stats = estimate_cost(REF, strat, horizon, episodes, RngHandle(41), conditional=True)
+        assert stats.problem is None
+        samples = _transmit_set_samples(REF, strat, horizon, episodes, RngHandle(41))
+        _assert_fsum_moments(stats, samples, samples)
+
+    def test_silent_blocks_before_a_single_transmission(self):
+        horizon = 3 * CHUNK_STAGES + 500
+        blocks = list(_reference_blocks(REF, SPARSE_START, horizon, 2, RngHandle(42)))
+        assert [int(b[5].sum()) for b in blocks[:2]] == [0, 1]
+        want, n_tx = _reference_conditional(blocks)
+        _, stats = estimate_cost(REF, SPARSE_START, horizon, 2, RngHandle(42), conditional=True)
+        assert stats.n_transmissions == n_tx >= MIN_TRANSMISSIONS
+        for name, estimate in want.items():
+            assert estimate is not None and getattr(stats, name) == estimate, name
+
+    @pytest.mark.parametrize("n_tx", [1, 2, MIN_TRANSMISSIONS - 1, MIN_TRANSMISSIONS])
+    def test_fewer_than_min_transmissions(self, n_tx):
+        strat = _transmitting(lambda t, x: t <= n_tx)
+        stats = estimate_conditional_stats(REF, strat, 1_000, RngHandle(43))
+        assert stats.n_transmissions == n_tx
+        assert (stats.tx_frequency.mean, stats.tx_frequency.n) == (n_tx / 1_000, 1_000)
+        rows = ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx")
+        if n_tx < MIN_TRANSMISSIONS:
+            assert "transmissions" in stats.problem
+            assert all(getattr(stats, row) is None for row in rows)
+        else:
+            assert stats.problem is None
+            assert stats.mse_tx.n == stats.power.n == stats.bias_tx.n == n_tx
+
+    @pytest.mark.parametrize("negatives", [0, 1])
+    def test_sign_branch_with_fewer_than_two_transmissions(self, negatives):
+        # above the threshold on the positive side, plus the first stages
+        # below -beta as many as ``negatives``; the draws do not depend on
+        # the policy, so a silent run shows where those stages are
+        rng = RngHandle(44)
+        x = run_episode(REF, NEVER, 5_000, rng).x
+        stages = 1 + np.flatnonzero(x < -BETA_STAR)[:negatives]
+        strat = _transmitting(lambda t, x: (x > BETA_STAR) | np.isin(t, stages))
+        stats = estimate_conditional_stats(REF, strat, 5_000, rng)
+        assert stats.problem == "a sign branch has fewer than 2 transmissions"
+        assert stats.mse_tx_neg is None
+        assert stats.mse_tx_pos.n == stats.n_transmissions - negatives
+        if negatives == 0:  # the positive branch is every transmission
+            assert stats.mse_tx_pos == stats.mse_tx
+        samples = _transmit_set_samples(REF, strat, 5_000, 1, rng)
+        _assert_fsum_moments(stats, samples, ("mse_tx", "mse_tx_pos", "power", "bias_tx"))
+
+    @pytest.mark.parametrize("episodes, finite", [
+        (60, ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "tx_frequency", "bias_tx")),
+        (80, ("mse_tx_pos", "mse_tx_neg", "power", "tx_frequency", "bias_tx")),
+    ])
+    def test_extreme_scale_overflows_where_each_rows_m2_does(self, episodes, finite):
+        # at lam = 1e-76 the squared deviations of err² are near 1e304: over
+        # 100 x 60 stages every row's M2 is finite; over 100 x 80 the M2 of
+        # err² over both branches overflows, and each branch's does not
+        p = SystemParams(lam=1e-76, k=2.0, p_t=1.0, c=1.0)
+        with np.errstate(over="ignore"):  # the overflow under test
+            _, stats = estimate_cost(p, ThresholdAffineStrategy(p, 0.0), 100, episodes,
+                                     RngHandle(2025, 40), conditional=True)
+        for row in ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "tx_frequency", "bias_tx"):
+            assert math.isfinite(getattr(stats, row).std_error) == (row in finite), row
+
+    def test_extreme_scale_with_a_one_sample_shift(self):
+        # a single transmission in the first transmitting block sets the
+        # shift, one err² of order 1e152; over the 2,000 stages that follow,
+        # (Σd)² overflows and Σd² does not, so M2 stays finite
+        p = SystemParams(lam=1e-76, k=2.0, p_t=1.0, c=1.0)
+        strat = _transmitting(lambda t, x: (t > 2 * CHUNK_STAGES) | (t == CHUNK_STAGES + 1), p)
+        stats = estimate_conditional_stats(p, strat, 2 * CHUNK_STAGES + 2_000, RngHandle(2025, 45))
+        assert stats.n_transmissions == 2_001
+        for row in ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx"):
+            assert 0.0 < getattr(stats, row).std_error < math.inf, row
