@@ -14,7 +14,6 @@ from .analytics import (
     cost_derivative,
     numeric_argmin,
     optimal_threshold,
-    threshold_sweep,
 )
 from .distributions import (
     ExponentialDist,

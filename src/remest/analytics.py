@@ -1,14 +1,13 @@
 """Closed-form expected stage cost of a threshold policy with the matched
 affine coder, its derivative in the threshold, the optimal threshold
 sqrt(c + m), and a golden-section minimizer used as an independent numerical
-cross-check.
+cross-check.  The ``sweep`` command evaluates them over a parameter grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .strategies import SystemParams
 
@@ -20,19 +19,7 @@ __all__ = [
     "cost_derivative",
     "optimal_threshold",
     "numeric_argmin",
-    "SweepRow",
-    "threshold_sweep",
-    "SWEEP_LAMBDAS",
-    "SWEEP_SHAPES",
-    "SWEEP_POWERS",
-    "SWEEP_COSTS",
 ]
-
-# Default sweep grids; chosen to hit gamma < 1, gamma = 1, and gamma > 1.
-SWEEP_LAMBDAS: tuple[float, ...] = (0.5, 1.0, 2.0)
-SWEEP_SHAPES: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
-SWEEP_POWERS: tuple[float, ...] = (0.25, 1.0, 4.0)
-SWEEP_COSTS: tuple[float, ...] = (0.1, 1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -148,46 +135,3 @@ def numeric_argmin(p: SystemParams) -> float:
             yd = objective(d_pt)
     return 0.5 * (a + d_pt) if yc < yd else 0.5 * (c_pt + b)
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    lam: float
-    k: float
-    p_t: float
-    c: float
-    beta_star_formula: float
-    beta_star_numeric: float
-    j_at_beta_star: float
-
-
-def threshold_sweep(
-    lambdas: Sequence[float] = SWEEP_LAMBDAS,
-    shapes: Sequence[float] = SWEEP_SHAPES,
-    powers: Sequence[float] = SWEEP_POWERS,
-    costs: Sequence[float] = SWEEP_COSTS,
-) -> list[SweepRow]:
-    """Formula vs golden-section optimal threshold over a parameter grid.
-
-    Row order is the nested product lambda > k > P_T > c, the row order of
-    the ``sweep`` report.
-    """
-    rows = []
-    for lam in lambdas:
-        for k in shapes:
-            for p_t in powers:
-                for c in costs:
-                    p = SystemParams(lam=lam, k=k, p_t=p_t, c=c)
-                    formula = optimal_threshold(p)
-                    numeric = numeric_argmin(p)
-                    rows.append(
-                        SweepRow(
-                            lam=lam,
-                            k=k,
-                            p_t=p_t,
-                            c=c,
-                            beta_star_formula=formula,
-                            beta_star_numeric=numeric,
-                            j_at_beta_star=cost_closed_form(p, formula).total,
-                        )
-                    )
-    return rows

@@ -127,10 +127,11 @@ CONFIG_FIELDS = {
     "omega_points": Field("verify-matching", 101, _integer(2)),
     "omega_min": Field("verify-matching", -5.0, _number()),
     "omega_max": Field("verify-matching", 5.0, _number()),
-    "lambda_grid": Field("sweep", list(analytics.SWEEP_LAMBDAS), _grid),
-    "k_grid": Field("sweep", list(analytics.SWEEP_SHAPES), _grid),
-    "p_t_grid": Field("sweep", list(analytics.SWEEP_POWERS), _grid),
-    "c_grid": Field("sweep", list(analytics.SWEEP_COSTS), _grid),
+    # the default k grid puts gamma = 1/k below, at and above 1
+    "lambda_grid": Field("sweep", [0.5, 1.0, 2.0], _grid),
+    "k_grid": Field("sweep", [0.5, 1.0, 2.0, 5.0], _grid),
+    "p_t_grid": Field("sweep", [0.25, 1.0, 4.0], _grid),
+    "c_grid": Field("sweep", [0.1, 1.0, 10.0], _grid),
     "spot_check": Field("sweep", False, _choice(False, True)),
     "spot_horizon": Field("sweep", 2_000, _integer(1)),
     "spot_episodes": Field("sweep", 10, _integer(2)),
@@ -201,8 +202,8 @@ _CHECK_COLUMNS = ("metric", "estimate", "std_error", "n", "target", "z", "tolera
 _SE_RULE = f"<= {SIGMAS:g} sample SE, no multiplicity correction"
 
 # The rows of each command's CSV table and their columns. An optimize report
-# is one row per field. A sweep row, in JSON too, is a SweepRow under these
-# names, with the spot-check columns only when spot checks ran.
+# is one row per field. A sweep row, in JSON too, has these columns, with the
+# spot-check columns only when spot checks ran.
 _SWEEP_COLUMNS = ("lambda", "k", "P_T", "c", "beta_star_formula", "beta_star_numeric",
                   "J_at_beta_star")
 _SPOT_COLUMNS = ("j_mc_mean", "j_mc_std_error", "j_mc_within_4se")
@@ -366,28 +367,28 @@ def cmd_verify_matching(cfg: dict) -> dict:
 
 def cmd_sweep(cfg: dict) -> dict:
     """formula/numeric threshold agreement over a parameter grid"""
-    rows = analytics.threshold_sweep(cfg["lambda_grid"], cfg["k_grid"], cfg["p_t_grid"],
-                                     cfg["c_grid"])
-    out_rows = []
-    for i, r in enumerate(rows):
-        row = dict(zip(_SWEEP_COLUMNS, (r.lam, r.k, r.p_t, r.c, r.beta_star_formula,
-                                        r.beta_star_numeric, r.j_at_beta_star)))
+    grids = (cfg["lambda_grid"], cfg["k_grid"], cfg["p_t_grid"], cfg["c_grid"])
+    rows = []
+    # the rows in the nested order lambda > k > P_T > c
+    for i, point in enumerate(itertools.product(*grids)):
+        p = SystemParams(*point)
+        formula = analytics.optimal_threshold(p)
+        j_formula = analytics.cost_closed_form(p, formula).total
+        row = dict(zip(_SWEEP_COLUMNS, (*point, formula, analytics.numeric_argmin(p), j_formula)))
         if cfg["spot_check"]:
-            p = SystemParams(lam=r.lam, k=r.k, p_t=r.p_t, c=r.c)
-            strat = strategies.ThresholdAffineStrategy(p, r.beta_star_formula)
+            strat = strategies.ThresholdAffineStrategy(p, formula)
             rng = RngHandle(cfg["seed"], cfg["stream"], (i,))
             mc = simulator.estimate_cost(p, strat, cfg["spot_horizon"], cfg["spot_episodes"], rng)
-            row.update(zip(_SPOT_COLUMNS,
-                           (mc.mean, mc.std_error, mc.covers(r.j_at_beta_star, SIGMAS))))
-        out_rows.append(row)
+            row.update(zip(_SPOT_COLUMNS, (mc.mean, mc.std_error, mc.covers(j_formula, SIGMAS))))
+        rows.append(row)
 
-    checks = [_argmin_check("argmin_agreement_all_rows",
-                            max(abs(r.beta_star_formula - r.beta_star_numeric) for r in rows))]
+    gap = max(abs(row["beta_star_formula"] - row["beta_star_numeric"]) for row in rows)
+    checks = [_argmin_check("argmin_agreement_all_rows", gap)]
     if cfg["spot_check"]:
         checks.append(_check("mc_spot_checks", None, SIGMAS,
                              f"every row's |j_mc_mean - J_at_beta_star| {_SE_RULE}",
-                             all(row["j_mc_within_4se"] for row in out_rows)))
-    return _report("sweep", cfg, checks, n_rows=len(out_rows), rows=out_rows)
+                             all(row["j_mc_within_4se"] for row in rows)))
+    return _report("sweep", cfg, checks, n_rows=len(rows), rows=rows)
 
 
 def _strict(value):

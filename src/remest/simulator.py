@@ -9,13 +9,16 @@ column piece of one episode when the horizon is longer than a block), block
 i draws its source and noise from ``rng.substream(i)``, the policy is
 applied once per block, and each estimator folds the blocks, in block
 order, into its own small reducer.  Memory therefore stays bounded by the
-block size.  ``estimate_cost`` can fold the transmission-conditional
-statistics in the same pass: one fused reducer per block sums four shifted
-rows of the transmit set and their squares (see ``_fold``).
+block size.  The cost folds into episode totals.  The moment reducers keep
+running sums and sums of squares of shifted samples: ``estimate_cost`` can
+fold the transmission-conditional statistics in the same pass, four shifted
+rows of the transmit set (see ``_fold``), and ``stationarity_check`` folds
+each stage's costs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +33,6 @@ __all__ = [
     "STATIONARITY_Z_MAX",
     "EpisodeTrace",
     "MonteCarloEstimate",
-    "Moments",
     "ConditionalStats",
     "StationarityReport",
     "run_episode",
@@ -58,62 +60,30 @@ class MonteCarloEstimate:
 
     @classmethod
     def from_samples(cls, samples) -> "MonteCarloEstimate":
-        return Moments.of(samples).estimate()
+        arr = np.asarray(samples, dtype=np.float64)
+        if arr.size < 2:
+            raise ValueError(f"need at least 2 samples for a standard error, got {arr.size}")
+        # np.add.reduce is the pairwise sum behind mean() and sum(), without
+        # their wrappers' per-call cost; the values are the same bits
+        mean = np.add.reduce(arr, axis=None) / arr.size
+        dev = arr - mean
+        return _estimate(arr.size, mean, np.add.reduce(np.square(dev, out=dev), axis=None))
+
+    def _finite(self) -> bool:
+        return math.isfinite(self.mean) and math.isfinite(self.std_error)
 
     def z_score(self, target: float) -> float:
+        """The gap to ``target`` in standard errors; NaN unless mean and SE are finite."""
+        if not self._finite():
+            return math.nan
         gap = self.mean - target
         if self.std_error == 0.0:
             return 0.0 if gap == 0.0 else float("inf")
         return gap / self.std_error
 
     def covers(self, target: float, sigmas: float = 4.0) -> bool:
-        """True when ``target`` lies within ``sigmas`` standard errors."""
-        return abs(self.mean - target) <= sigmas * self.std_error
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Count, mean and sum of squared deviations (M2) of a sample, merged
-    pairwise after Chan, Golub & LeVeque (1979).
-
-    ``mean`` and ``m2`` are scalars, or arrays for one sample per element
-    (e.g. per stage) that share the count ``n``.
-    """
-
-    n: int = 0
-    mean: float | np.ndarray = 0.0
-    m2: float | np.ndarray = 0.0
-
-    @classmethod
-    def of(cls, samples, axis: int | None = None) -> "Moments":
-        arr = np.asarray(samples, dtype=np.float64)
-        n = arr.size if axis is None else arr.shape[axis]
-        if n == 0:
-            return cls()
-        # np.add.reduce is the pairwise sum behind mean() and sum(), without
-        # their wrappers' per-call cost; the values are the same bits
-        mean = np.add.reduce(arr, axis=axis) / n
-        dev = arr - (mean if axis is None else np.expand_dims(mean, axis))
-        np.square(dev, out=dev)
-        return cls(n, mean, np.add.reduce(dev, axis=axis))
-
-    def merge(self, other: "Moments") -> "Moments":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            return other
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        return Moments(
-            n,
-            self.mean + delta * (other.n / n),
-            self.m2 + other.m2 + delta**2 * (self.n * other.n / n),
-        )
-
-    def estimate(self) -> MonteCarloEstimate:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 samples for a standard error, got {self.n}")
-        return _estimate(self.n, self.mean, self.m2)
+        """True when ``target`` lies within ``sigmas`` finite SEs of a finite mean."""
+        return self._finite() and abs(self.mean - target) <= sigmas * self.std_error
 
 
 def _estimate(n: int, mean, m2) -> MonteCarloEstimate:
@@ -434,22 +404,32 @@ def stationarity_check(
 
     Under a stationary strategy the stage costs are i.i.d. across time, so
     all per-stage means must agree within joint standard errors; a policy
-    that changes mid-episode shows up as a large pairwise z.  Each block
-    reduces to per-stage moments over its episodes.
+    that changes mid-episode shows up as a large pairwise z.  Each stage
+    keeps the running sum and sum of squares of its costs less a shift: the
+    stage's mean over the first block that holds it, the block of episode 0.
     """
     horizon = int(horizon)
     n_episodes = int(n_episodes)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if n_episodes < 2:
         raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
+    shift, sums, squares = np.zeros((3, horizon))
 
-    def per_stage(b: _Block):
-        return b.c0, Moments.of(_stage_cost(p, b), axis=0)
+    def per_stage(b: _Block) -> None:
+        cost = _stage_cost(p, b)
+        cols = slice(b.c0, b.c1)
+        if b.r0 == 0:
+            shift[cols] = np.add.reduce(cost, axis=0) / cost.shape[0]
+        cost -= shift[cols]
+        sums[cols] += np.add.reduce(cost, axis=0)
+        squares[cols] += np.add.reduce(np.square(cost, out=cost), axis=0)
 
-    pieces: dict[int, Moments] = {}
-    for c0, part in _simulate(p, strat, horizon, n_episodes, rng, per_stage):
-        pieces[c0] = pieces.get(c0, Moments()).merge(part)
-    means = np.concatenate([pieces[c0].mean for c0 in sorted(pieces)])
-    m2 = np.concatenate([pieces[c0].m2 for c0 in sorted(pieces)])
+    for _ in _simulate(p, strat, horizon, n_episodes, rng, per_stage):
+        pass
+    means = shift + sums / n_episodes
+    # as in _shifted_estimate: (s/n)·s, and an M2 that roundoff took below 0 is 0
+    m2 = np.maximum(squares - sums / n_episodes * sums, 0.0)
     ses = np.sqrt(m2 / (n_episodes - 1)) / np.sqrt(n_episodes)
     # the pairs i < j, a block of rows at a time (about 0.5 MiB per array)
     max_z = 0.0 if horizon == 1 else -np.inf

@@ -88,33 +88,25 @@ class ThresholdAffineStrategy:
     With ``matched`` the decoder applies the MSE-optimal shrink
     gamma/(gamma+1); ``matched=False`` is the noise-blind baseline, whose
     shrink of 1 inverts the encoder exactly and shows that the shrinkage is
-    load-bearing.  ``switch_stage`` doubles beta (in the scheduler and both
-    coder maps) after that stage: a deliberately nonstationary policy used to
-    exercise the per-stage cost homogeneity check.
+    load-bearing.
     """
 
     params: SystemParams
     beta: float
     matched: bool = True
-    switch_stage: int | None = None
 
     def __post_init__(self) -> None:
         if not self.beta >= 0.0:  # also NaN
             raise ValueError(f"beta must be >= 0 (inf never transmits), got {self.beta!r}")
 
-    def _beta_at(self, t):
-        if self.switch_stage is None:
-            return self.beta
-        return np.where(np.asarray(t) <= self.switch_stage, self.beta, 2.0 * self.beta)
-
     def transmit(self, t, x):
-        return np.abs(x) > self._beta_at(t)
+        return np.abs(x) > self.beta
 
     def encode(self, t, x):
         p = self.params
-        return p.alpha * (np.abs(x) - self._beta_at(t) - 1.0 / p.lam)
+        return p.alpha * (np.abs(x) - self.beta - 1.0 / p.lam)
 
     def decode(self, t, y_tilde, s):
         p = self.params
         shrink = p.gamma / (p.gamma + 1.0) if self.matched else 1.0
-        return s * (shrink * y_tilde / p.alpha + shrink / p.lam + self._beta_at(t))
+        return s * (shrink * y_tilde / p.alpha + shrink / p.lam + self.beta)

@@ -15,7 +15,6 @@ from remest.analytics import (
     cost_derivative,
     numeric_argmin,
     optimal_threshold,
-    threshold_sweep,
 )
 from remest.cli import main as cli_main
 from remest.distributions import RngHandle
@@ -27,6 +26,8 @@ from remest.simulator import (
     stationarity_check,
 )
 from remest.strategies import SystemParams, ThresholdAffineStrategy
+
+from nonstationary import SwitchedThreshold
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -133,8 +134,6 @@ def test_criterion_05_unique_minimizer():
             and abs(at_star) < 1e-12 * scale
             and cost_derivative(p, star + 0.1) > 0.0
         )
-    rows = threshold_sweep()
-    assert len(rows) == 108
     passed = worst_gap < 1e-6 and signs_ok
     _report(5, "unique minimizer", passed,
             f"max |numeric-formula|={worst_gap:.2e}, sign pattern ok={signs_ok}")
@@ -162,7 +161,7 @@ def test_criterion_06_end_to_end_cost_consistency():
 def test_criterion_07_stationarity():
     optimal = ThresholdAffineStrategy(REF, BETA_STAR)
     good = stationarity_check(REF, optimal, 10, 10**5, RngHandle(20240, 4))
-    switched = ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=5)
+    switched = SwitchedThreshold(REF, BETA_STAR, switch_stage=5)
     bad = stationarity_check(REF, switched, 10, 10**5, RngHandle(20240, 4))
     passed = good.passed and not bad.passed
     _report(7, "stationarity", passed,

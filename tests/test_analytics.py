@@ -6,15 +6,10 @@ from scipy import stats
 from scipy.integrate import quad
 
 from remest.analytics import (
-    SWEEP_COSTS,
-    SWEEP_LAMBDAS,
-    SWEEP_POWERS,
-    SWEEP_SHAPES,
     cost_closed_form,
     cost_derivative,
     numeric_argmin,
     optimal_threshold,
-    threshold_sweep,
 )
 from remest.strategies import SystemParams
 
@@ -180,15 +175,3 @@ class TestNumericArgmin:
         for beta in np.linspace(0.05, 6.0, 40):
             assert j_star <= cost_closed_form(REF, float(beta)).total + 1e-15
 
-
-class TestSweep:
-    def test_full_grid_size_and_agreement(self):
-        rows = threshold_sweep()
-        assert len(rows) == len(SWEEP_LAMBDAS) * len(SWEEP_SHAPES) * len(SWEEP_POWERS) * len(SWEEP_COSTS)
-        assert len(rows) == 108
-        for r in rows:
-            assert abs(r.beta_star_formula - r.beta_star_numeric) < 1e-6
-
-    def test_rows_follow_nested_order(self):
-        rows = threshold_sweep(lambdas=(1.0, 2.0), shapes=(1.0,), powers=(1.0,), costs=(0.5, 1.0))
-        assert [(r.lam, r.c) for r in rows] == [(1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)]

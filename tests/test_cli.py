@@ -7,8 +7,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from remest.analytics import cost_closed_form, numeric_argmin, optimal_threshold
 from remest.cli import (
     _CHECK_COLUMNS,
     _COMMANDS,
@@ -18,6 +20,7 @@ from remest.cli import (
     load_config,
     main,
 )
+from remest.strategies import SystemParams
 
 REF_PARAMS = {"lambda": 1.0, "k": 2.0, "p_t": 1.0, "c": 1.0}
 ROOT = Path(__file__).resolve().parent.parent
@@ -354,7 +357,7 @@ class TestNonFiniteValues:
 
     @pytest.mark.parametrize("command, fields, failed", [
         ("simulate", {"lambda": 1.1e-154, "k": 1},
-         {"per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg"}),
+         {"per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg", "bias_tx"}),
         ("simulate", {"lambda": 8e-155, "k": 1e20, "strategy": "never"}, {"per_stage_cost"}),
         ("optimize", {"lambda": 8e-155, "k": 1e20},
          {"argmin_agreement", "mc_cost_covers_closed_form"}),
@@ -372,6 +375,18 @@ class TestNonFiniteValues:
                      "--out", str(out_csv)]) == 1
         cells = [cell.lower() for row in csv.reader(out_csv.open()) for cell in row]
         assert not {"nan", "inf", "-inf"} & set(cells), cells
+
+    def test_infinite_std_error_fails_its_check(self, tmp_path):
+        # the M2 of the episode costs overflows and their mean does not; an
+        # infinite SE once covered every target
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", strategy="never", horizon=200, episodes=50,
+                           seed=3, out=str(out), **{"lambda": 1e-100})
+        with np.errstate(over="ignore"):  # the overflow under test
+            assert main(["simulate", "--config", str(cfg)]) == 1
+        (row,) = json.loads(out.read_text(), parse_constant=reject_constant)["checks"]
+        assert row["estimate"] == pytest.approx(2e200, rel=0.5)
+        assert (row["std_error"], row["z"], row["passed"]) == (None, None, False)
 
 
 class TestDeterminism:
@@ -567,8 +582,25 @@ class TestSweep:
         assert rows[0] == ["lambda", "k", "P_T", "c",
                            "beta_star_formula", "beta_star_numeric", "J_at_beta_star"]
         assert len(rows) == 1 + 4
+        # the nested order lambda > k > P_T > c
+        assert [tuple(map(float, row[:4])) for row in rows[1:]] == [
+            (1.0, 2.0, 1.0, 0.5), (1.0, 2.0, 1.0, 1.0), (2.0, 2.0, 1.0, 0.5), (2.0, 2.0, 1.0, 1.0)]
         for row in rows[1:]:
             assert abs(float(row[4]) - float(row[5])) < 1e-6
+
+    def test_full_grid_size_and_agreement(self, tmp_path):
+        # the default grid; each row holds the analytics functions' values
+        out = tmp_path / "sweep.json"
+        cfg = write_config(tmp_path / "cfg.json", out=str(out))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n_rows"] == len(report["rows"]) == 108
+        for row in report["rows"]:
+            p = SystemParams(row["lambda"], row["k"], row["P_T"], row["c"])
+            formula = optimal_threshold(p)
+            assert row["beta_star_formula"] == formula
+            assert row["beta_star_numeric"] == numeric_argmin(p)
+            assert row["J_at_beta_star"] == cost_closed_form(p, formula).total
 
     def test_json_report(self, tmp_path):
         out = tmp_path / "sweep.json"

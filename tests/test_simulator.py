@@ -15,7 +15,6 @@ from remest.distributions import (
 from remest.simulator import (
     CHUNK_STAGES,
     MIN_TRANSMISSIONS,
-    Moments,
     MonteCarloEstimate,
     estimate_conditional_stats,
     estimate_cost,
@@ -23,6 +22,8 @@ from remest.simulator import (
     stationarity_check,
 )
 from remest.strategies import SystemParams, ThresholdAffineStrategy, payload_sign
+
+from nonstationary import SwitchedThreshold
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -54,24 +55,17 @@ class TestMonteCarloEstimate:
         assert est.covers(1.0)
         assert not est.covers(0.9)
 
-
-class TestMoments:
-    def test_merged_pieces_match_from_samples(self):
-        x = np.random.default_rng(0).gamma(0.5, 3.0, size=10_001) + 1e3
-        whole = MonteCarloEstimate.from_samples(x)
-        acc = Moments()
-        for piece in np.split(x, [0, 1, 7, 4_096, 4_097, 9_000]):
-            acc = acc.merge(Moments.of(piece))
-        merged = acc.estimate()
-        assert merged.n == whole.n
-        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
-        np.testing.assert_allclose(merged.std_error, whole.std_error, rtol=1e-12)
-
-    def test_per_column_moments(self):
-        x = np.random.default_rng(1).laplace(size=(50, 3))
-        acc = Moments.of(x[:20], axis=0).merge(Moments.of(x[20:], axis=0))
-        np.testing.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(acc.m2, x.var(axis=0) * 50, rtol=1e-12)
+    def test_non_finite_estimate_covers_nothing(self):
+        # an M2 beyond the float range gives an infinite SE, which covered
+        # every target when the check was |gap| <= 4·SE
+        with np.errstate(over="ignore"):  # the overflow under test
+            overflowed = MonteCarloEstimate.from_samples([1e300, -1e300])
+        assert overflowed.mean == 0.0 and overflowed.std_error == math.inf
+        for est in (overflowed, MonteCarloEstimate(mean=math.inf, std_error=1.0, n=2),
+                    MonteCarloEstimate(mean=math.nan, std_error=1.0, n=2),
+                    MonteCarloEstimate(mean=1.0, std_error=math.nan, n=2)):
+            assert not est.covers(0.0), est
+            assert math.isnan(est.z_score(0.0)), est
 
 
 class TestRunEpisode:
@@ -274,7 +268,7 @@ class TestStationarity:
         assert report.max_pairwise_z == 0.0
 
     def test_nonstationary_counterexample_fails(self):
-        switched = ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=5)
+        switched = SwitchedThreshold(REF, BETA_STAR, switch_stage=5)
         report = stationarity_check(REF, switched, 10, 20_000, RngHandle(2025, 8))
         assert not report.passed
         assert report.max_pairwise_z > 4.0
@@ -425,14 +419,15 @@ def _reference_conditional(blocks):
 class TestTransmitSetKernel:
     """The kernel runs the policy on the transmit set only; every estimator
     and every trace column equals, bit for bit, what the plain full-array
-    kernel gives on the same draws."""
+    kernel gives on the same draws, and the per-stage moments agree to 1e-12
+    with the exactly rounded moments of its stage costs."""
 
     CASES = {
         "optimal": OPTIMAL,
         "beta-0": ThresholdAffineStrategy(REF, 0.0),
         "noise-blind": ThresholdAffineStrategy(REF, BETA_STAR, matched=False),
         "never": NEVER,
-        "switched": ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=50),
+        "switched": SwitchedThreshold(REF, BETA_STAR, switch_stage=50),
     }
 
     @pytest.fixture(params=[(name, 100, 90) for name in CASES]
@@ -454,35 +449,17 @@ class TestTransmitSetKernel:
 
     def test_stationarity_check(self, case):
         strat, horizon, episodes = case
-        pieces = {}
-        for _, _, c0, *_, cost in _reference_blocks(REF, strat, horizon, episodes, RngHandle(32)):
-            pieces[c0] = pieces.get(c0, Moments()).merge(Moments.of(cost, axis=0))
-        means = np.concatenate([pieces[c0].mean for c0 in sorted(pieces)])
-        m2 = np.concatenate([pieces[c0].m2 for c0 in sorted(pieces)])
-        ses = np.sqrt(m2 / (episodes - 1)) / np.sqrt(episodes)
-        max_z = max(
-            float(np.max(np.abs(means[i:i + 1] - means[i + 1:])
-                         / np.sqrt(ses[i:i + 1] ** 2 + ses[i + 1:] ** 2)))
-            for i in range(horizon - 1)
-        )
         report = stationarity_check(REF, strat, horizon, episodes, RngHandle(32))
-        assert report.max_pairwise_z == max_z
-        assert report.stage_means == tuple(
-            MonteCarloEstimate(mean=float(m), std_error=float(se), n=episodes)
-            for m, se in zip(means, ses)
-        )
+        _assert_stage_moments(report, _stage_costs(REF, strat, horizon, episodes, RngHandle(32)))
 
     def test_estimate_conditional_stats(self, case):
         strat, horizon, episodes = case
         stages = horizon * episodes
         blocks = list(_reference_blocks(REF, strat, stages, 1, RngHandle(33)))
         want, n_tx = _reference_conditional(blocks)
-        freq = Moments()
-        for *_, u, _, _, _, _ in blocks:
-            freq = freq.merge(Moments.of(u))
         stats = estimate_conditional_stats(REF, strat, stages, RngHandle(33))
         assert stats.n_transmissions == n_tx
-        assert stats.tx_frequency == freq.estimate()
+        assert stats.tx_frequency == _count_estimate(n_tx, stages)
         for name, estimate in want.items():
             assert getattr(stats, name) == estimate, name
 
@@ -502,9 +479,7 @@ class TestTransmitSetKernel:
         assert cost == estimate_cost(REF, strat, horizon, episodes, RngHandle(35))
         # the transmit frequency from the exact count k of the stages
         assert stats.n_transmissions == k
-        exact = Moments(stages, k / stages, k * (stages - k) / stages)
-        assert stats.tx_frequency == exact.estimate()
-        assert stats.tx_frequency.n == stages
+        assert stats.tx_frequency == _count_estimate(k, stages)
         for name, estimate in want.items():
             assert getattr(stats, name) == estimate, name
 
@@ -567,6 +542,30 @@ def _fsum_estimate(samples) -> tuple[int, float, float]:
     return n, mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
+def _count_estimate(k: int, n: int) -> MonteCarloEstimate:
+    """The estimate of a frequency from its exact count: k of n samples are
+    1, so the mean is k/n and M2 = k(n - k)/n."""
+    return MonteCarloEstimate(mean=k / n, std_error=math.sqrt(k * (n - k) / n / (n - 1))
+                              / math.sqrt(n), n=n)
+
+
+def _stage_costs(p, strat, horizon, n_episodes, rng) -> np.ndarray:
+    """The (episodes, horizon) stage costs of the plain kernel."""
+    costs = np.empty((n_episodes, horizon))
+    for r0, r1, c0, *_, cost in _reference_blocks(p, strat, horizon, n_episodes, rng):
+        costs[r0:r1, c0:c0 + cost.shape[1]] = cost
+    return costs
+
+
+def _assert_stage_moments(report, costs):
+    """Each stage's count, and its mean and SE to 1e-12 of the fsum moments
+    of the stage's costs over the episodes."""
+    assert all(est.n == costs.shape[0] for est in report.stage_means)
+    got = np.array([(est.mean, est.std_error) for est in report.stage_means])
+    want = np.array([_fsum_estimate(column)[1:] for column in costs.T])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def _assert_fsum_moments(stats, samples, rows):
     """Each row's count, and its mean and SE to 1e-12 of the fsum moments."""
     for row in rows:
@@ -604,7 +603,7 @@ class TestConditionalFold:
     CASES = {
         "optimal": (OPTIMAL, 1_000, 20),
         "noise-blind": (ThresholdAffineStrategy(REF, BETA_STAR, matched=False), 1_000, 20),
-        "switched": (ThresholdAffineStrategy(REF, BETA_STAR, switch_stage=50),
+        "switched": (SwitchedThreshold(REF, BETA_STAR, switch_stage=50),
                      CHUNK_STAGES + 17, 3),
         "sparse-start": (SPARSE_START, 3 * CHUNK_STAGES + 500, 2),
         "offset-decoder": (_OffsetDecoder(REF, BETA_STAR), 1_000, 20),
@@ -685,3 +684,18 @@ class TestConditionalFold:
         assert stats.n_transmissions == 2_001
         for row in ("mse_tx", "mse_tx_pos", "mse_tx_neg", "power", "bias_tx"):
             assert 0.0 < getattr(stats, row).std_error < math.inf, row
+
+
+class TestStageFold:
+    """The stationarity check's per-stage shifted sums against exactly
+    rounded moments: at horizon 100 a stage's shift is its mean over the 40
+    episodes of the first block, and past CHUNK_STAGES it is episode 0's
+    cost.  The offset decoder puts every cost near 1e8, against a spread
+    near 1e4."""
+
+    @pytest.mark.parametrize("strat", [OPTIMAL, _OffsetDecoder(REF, 0.0)],
+                             ids=("optimal", "offset-decoder"))
+    @pytest.mark.parametrize("horizon, episodes", [(100, 90), (CHUNK_STAGES + 17, 3)])
+    def test_matches_fsum_moments(self, strat, horizon, episodes):
+        report = stationarity_check(REF, strat, horizon, episodes, RngHandle(46))
+        _assert_stage_moments(report, _stage_costs(REF, strat, horizon, episodes, RngHandle(46)))

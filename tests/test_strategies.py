@@ -4,6 +4,8 @@ import pytest
 from remest.distributions import LaplaceDist, RngHandle, sample_laplace
 from remest.strategies import SystemParams, ThresholdAffineStrategy, payload_sign
 
+from nonstationary import SwitchedThreshold
+
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 
 
@@ -134,8 +136,8 @@ class TestBaselines:
 
     def test_never_transmit_is_infinite_threshold(self):
         x = np.array([0.0, 100.0, -100.0, 1e308, -np.inf])
-        for switch_stage in (None, 1):
-            strat = ThresholdAffineStrategy(REF, np.inf, switch_stage=switch_stage)
+        for strat in (ThresholdAffineStrategy(REF, np.inf),
+                      SwitchedThreshold(REF, np.inf, switch_stage=1)):
             assert not strat.transmit(np.arange(1, 6), x).any()
 
     def test_noise_blind_inverts_encoder_exactly(self):
@@ -150,7 +152,7 @@ class TestBaselines:
 
 class TestSwitchedThreshold:
     def test_threshold_doubles_after_switch(self):
-        strat = ThresholdAffineStrategy(REF, beta=1.0, switch_stage=5)
+        strat = SwitchedThreshold(REF, beta=1.0, switch_stage=5)
         x = np.full(10, 1.5)
         t = np.arange(1, 11)
         u = strat.transmit(t, x)
@@ -158,7 +160,7 @@ class TestSwitchedThreshold:
         assert not u[5:].any()  # 1.5 <= 2.0
 
     def test_coder_follows_the_active_threshold(self):
-        strat = ThresholdAffineStrategy(REF, beta=1.0, switch_stage=5)
+        strat = SwitchedThreshold(REF, beta=1.0, switch_stage=5)
         early = strat.encode(np.array([1]), np.array([3.0]))[0]
         late = strat.encode(np.array([9]), np.array([3.0]))[0]
         assert early == pytest.approx(1.0)  # 3 - 1 - 1
