@@ -24,7 +24,8 @@ __all__ = [
 
 
 # Samples per block of the empirical CF.  A uniform-grid block holds a baby
-# and a giant matrix of up to CF_BABY rows of this length, 256 KiB each.
+# and a giant matrix of up to CF_BABY rows of this length, 256 KiB each, and
+# one leap row.
 # 4096 ran the CF about 10% faster on a 2-vCPU host, but its 1 MiB working
 # set would add 3% to the peak memory of verify-matching at 1e6 samples.
 CF_BLOCK = 2048
@@ -202,13 +203,27 @@ def char_fn(dist, omega):
 
 
 def _cis(w, x, out=None):
-    """exp(j·w·x) for real ``w`` and ``x`` from one cos/sin pair, into ``out``
-    if given.  Equal bit for bit to ``np.exp(1j * w * x)`` on numpy 2.4."""
-    t = w * x
+    """exp(j·w·x) for real ``w`` and ``x``, into ``out`` if given.
+
+    One ``tan`` and the half-angle identities: with tau = tan(w·x/2) and
+    r = 2/(1 + tau²), cos = r − 1 and sin = r·tau.  numpy 2.4's float64
+    ``tan`` is SIMD on x86_64 where its ``cos`` and ``sin`` call scalar libm,
+    so there this costs about half the pair.  It agrees with ``np.cos`` and
+    ``np.sin`` to 4e-16 absolute (tested from |w·x| = 1e-300 to 1e300 and
+    next to odd multiples of pi, where tau passes 1e16), and is exactly 1 at
+    w·x = 0.  A tau whose square overflowed would give r = 0 and (−1, 0),
+    still right.
+    """
+    tau = np.multiply(0.5 * w, x)
+    np.tan(tau, out=tau)
     if out is None:
-        out = np.empty(t.shape, dtype=np.complex128)
-    np.cos(t, out=out.real)
-    np.sin(t, out=out.imag)
+        out = np.empty(tau.shape, dtype=np.complex128)
+    np.copyto(out.imag, tau)
+    np.multiply(tau, tau, out=tau)
+    tau += 1.0
+    np.divide(2.0, tau, out=tau)
+    out.imag *= tau
+    np.subtract(tau, 1.0, out=out.real)
     return out
 
 
@@ -218,37 +233,49 @@ def _uniform_cf_sums(x, start, step, sums):
     Baby-step/giant-step: with p = a·K + b (K = ``CF_BABY``, or the point
     count if smaller), exp(j·w_p·x) = giant_a(x)·baby_b(x), where
     baby_b = exp(j·b·step·x) and giant_a = exp(j·(start + a·K·step)·x).
-    Per block of ``CF_BLOCK`` samples, one cos/sin pair gives the rotation
+    Per block of ``CF_BLOCK`` samples, one :func:`_cis` gives the rotation
     exp(j·step·x), K − 1 products the baby rows and the leap
     exp(j·K·step·x), and one product each further giant row; the partial
     sums of all points are then one complex matrix product, giant @ baby.T.
     Giant rows run in groups of at most K against the same baby matrix, so
-    memory stays at 2·K rows of a block whatever the grid size.
+    memory stays at 2·K + 1 rows of a block whatever the grid size.  The
+    rows of ones (baby row 0, and giant row 0 when ``start`` is 0 and one
+    group holds every giant row) are written once, not per block; with
+    ``start`` 0, giant row 1 is a copy of the leap, not a product by ones.
     """
     k = min(CF_BABY, sums.size)
     giants = -(-sums.size // k)
     width = min(CF_BLOCK, x.size)
     baby = np.empty((k, width), dtype=np.complex128)
     giant = np.empty((min(k, giants), width), dtype=np.complex128)
+    leap = np.empty(width, dtype=np.complex128)
+    baby[0] = 1.0
+    centred = start == 0.0  # the middle of an odd symmetric grid
+    if centred:
+        giant[0] = 1.0
     for lo in range(0, x.size, CF_BLOCK):
         xb = x[lo:lo + CF_BLOCK]
         b = baby[:, :xb.size]
         g = giant[:, :xb.size]
-        b[0] = 1.0
+        lp = leap[:xb.size]
         _cis(step, xb, out=b[1])
         for i in range(2, k):
             np.multiply(b[i - 1], b[1], out=b[i])
-        leap = b[k - 1] * b[1]
-        if start == 0.0:  # the middle of an odd symmetric grid
-            g[0] = 1.0
-        else:
+        np.multiply(b[k - 1], b[1], out=lp)
+        if not centred:
             _cis(start, xb, out=g[0])
+        elif giants > k:  # the last group of the previous block overwrote it
+            g[0] = 1.0
         for a0 in range(0, giants, k):
             rows = min(k, giants - a0)
+            first = 1
             if a0:
-                np.multiply(g[-1], leap, out=g[0])
-            for r in range(1, rows):
-                np.multiply(g[r - 1], leap, out=g[r])
+                np.multiply(g[-1], lp, out=g[0])
+            elif centred and rows > 1:
+                g[1] = lp
+                first = 2
+            for r in range(first, rows):
+                np.multiply(g[r - 1], lp, out=g[r])
             seg = sums[a0 * k:(a0 + rows) * k]
             seg += (g[:rows] @ b.T).ravel()[:seg.size]
 

@@ -181,7 +181,7 @@ def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_e
         if on.size:
             t_on = on % shape[1] + (c0 + 1)
             y_on = np.asarray(strat.encode(t_on, x_on), dtype=np.float64)
-            s_on = payload_sign(x_on).astype(np.int8)
+            s_on = payload_sign(x_on)
             xhat_on = np.asarray(strat.decode(t_on, y_on + v_on, s_on), dtype=np.float64)
         return reduce(_Block(r0, r1, c0, c1, x, v, u, on, x_on, v_on, y_on, s_on,
                              xhat_on))

@@ -50,7 +50,7 @@ class SystemParams:
 
     @property
     def theta(self) -> float:
-        return float(np.sqrt(self.p_t))
+        return math.sqrt(self.p_t)
 
     @property
     def alpha(self) -> float:
@@ -67,8 +67,8 @@ class SystemParams:
 
 
 def payload_sign(x):
-    """Sign convention used on the side channel: sgn(0) := +1."""
-    return np.where(np.asarray(x) >= 0.0, 1, -1)
+    """Sign convention used on the side channel: sgn(0) := +1, as int8."""
+    return (np.asarray(x) >= 0.0).view(np.int8) * 2 - 1
 
 
 @dataclass(frozen=True)

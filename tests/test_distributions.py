@@ -16,6 +16,7 @@ from remest.distributions import (
     sample_gamma,
     sample_laplace,
 )
+from remest.distributions import _cis
 from remest.matching import SAMPLE_CHUNK
 
 N = 10**6
@@ -316,6 +317,37 @@ def _direct_cf(x, omega):
     """Reference: the cos and sin means at each point, one point at a time."""
     return np.array([complex(np.cos(w * x).mean(), np.sin(w * x).mean())
                      for w in np.atleast_1d(omega)])
+
+
+class TestRotation:
+    """``_cis`` builds exp(j·t) from one tan of t/2; it must match libm's
+    cos and sin over the whole float range, including where tan(t/2) is
+    near its poles."""
+
+    @staticmethod
+    def _max_error(t):
+        z = _cis(1.0, t)
+        assert np.isfinite(z).all()
+        return max(np.abs(z.real - np.cos(t)).max(), np.abs(z.imag - np.sin(t)).max())
+
+    def test_matches_cos_and_sin_from_tiny_to_huge_arguments(self):
+        mag = np.logspace(-300.0, 300.0, 6001)
+        assert self._max_error(np.concatenate([mag, -mag])) <= 1e-15
+
+    def test_matches_cos_and_sin_next_to_odd_multiples_of_pi(self):
+        odd = np.pi * (2.0 * np.arange(-5000, 5000) + 1.0)
+        t = np.concatenate([odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)])
+        assert np.abs(np.tan(t / 2.0)).max() > 1e16  # the half-angle tangent is near a pole
+        assert self._max_error(t) <= 1e-15
+
+    def test_exact_at_zero(self):
+        z = _cis(1.0, np.zeros(3))
+        np.testing.assert_array_equal(z.real, 1.0)
+        np.testing.assert_array_equal(z.imag, 0.0)
+
+    def test_degenerate_samples_on_a_uniform_grid(self):
+        np.testing.assert_array_equal(
+            empirical_char_fn([0.0, 0.0, 0.0], np.linspace(-5.0, 5.0, 101)), 1.0)
 
 
 class TestBlockedCharFn:

@@ -2,11 +2,15 @@
 
 Nine configs cover every command and every strategy; each runs in-process
 through ``cli.main`` and writes its report once as JSON and once as CSV.
-numpy's samplers and its SIMD ``sin``/``cos`` define the bits of a report, so
-``golden_digests.json`` is keyed by numpy version and machine architecture.
-On a key with no entry the tests skip and name it. Beside its digests each
-entry keeps the report's headline check values, so a digest that moves shows
-what moved and by how much.
+numpy's samplers define the bits of every report; the ``verify-matching``
+reports also depend on numpy's SIMD ``tan`` (the empirical CF's rotation) and
+on the BLAS ``zgemm`` (its block sums).  ``golden_digests.json`` is keyed by
+numpy version and machine architecture only, yet numpy and OpenBLAS pick
+their ``tan`` and ``zgemm`` kernels per CPU, so on another CPU of the same
+key the two ``verify-matching`` digests may move in the last bits while the
+others hold.  On a key with no entry the tests skip and name it.  Beside its
+digests each entry keeps the report's headline check values, so a digest
+that moves shows what moved and by how much.
 
 A change that moves report values on purpose rewrites the entry of the
 running key with ``python tests/test_golden.py`` and states the old and new

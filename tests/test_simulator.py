@@ -362,7 +362,7 @@ def _reference_blocks(p, strat, horizon, n_episodes, rng):
         if u.any():
             t_on = np.broadcast_to(t, shape)[u]
             y_on = np.asarray(strat.encode(t_on, x[u]), dtype=np.float64)
-            s_on = payload_sign(x[u]).astype(np.int8)
+            s_on = payload_sign(x[u])
             x_hat[u] = strat.decode(t_on, y_on + v[u], s_on)
         cost = np.square(x - x_hat)
         np.add(cost, p.c, out=cost, where=u)

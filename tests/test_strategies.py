@@ -77,7 +77,9 @@ class TestEncoder:
 
 class TestSideChannel:
     def test_sign_values(self):
-        np.testing.assert_array_equal(payload_sign(np.array([-3.0, 2.0])), [-1, 1])
+        sign = payload_sign(np.array([-3.0, 2.0]))
+        np.testing.assert_array_equal(sign, [-1, 1])
+        assert sign.dtype == np.int8
 
     def test_zero_payload_convention(self):
         assert payload_sign(0.0) == 1
