@@ -23,7 +23,7 @@ import numpy as np
 from . import analytics, matching, simulator, strategies
 # cli draws nothing itself; bench/test_smoke.py's
 # test_patch_reaches_names_imported_elsewhere reads sample_gamma here
-from .distributions import KEY_LIMIT, RngHandle, sample_gamma  # noqa: F401
+from .distributions import KEY_LIMIT, RngHandle, sample_gamma, uniform_grid  # noqa: F401
 from .strategies import SystemParams
 
 SCHEMA_VERSION = 1
@@ -193,6 +193,15 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
         if not math.isfinite(reach * reach):
             _fail(key, "small enough that (|omega| * max(alpha, theta, k*theta, 1/lambda))^2 "
                   "is finite", cfg[key])
+        # the empirical CFs take the grid, and alpha times it, as uniform grids
+        omega = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"])
+        alpha = matching.pair(p, cfg["pair"] == "matched").alpha
+        for grid in (omega, alpha * omega):
+            try:
+                uniform_grid(grid)
+            except ValueError:
+                _fail("omega_points", "small enough that the grid, and alpha times it, have "
+                      "every step within 1e-12 of the first", cfg["omega_points"])
     return cfg
 
 

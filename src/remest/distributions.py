@@ -19,6 +19,7 @@ __all__ = [
     "sample_exponential",
     "sample_gamma",
     "char_fn",
+    "uniform_grid",
     "empirical_char_fn",
 ]
 
@@ -42,22 +43,19 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class LaplaceDist:
-    """Double-exponential law with density (1/2b)·exp(-|x - loc|/b).
+    """Double-exponential law centred at 0, with density (1/2b)·exp(-|x|/b).
 
-    ``scale`` is b = 1/rate; variance is 2·b².
+    ``scale`` is b = 1/rate; mean 0, variance 2·b².
     """
 
-    location: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
-        if not np.isfinite(self.location):
-            raise ValueError(f"location must be finite, got {self.location!r}")
 
     @property
     def mean(self) -> float:
-        return self.location
+        return 0.0
 
     @property
     def variance(self) -> float:
@@ -109,16 +107,20 @@ KEY_LIMIT = 2**32
 class RngHandle:
     """Deterministic random stream keyed by (seed, stream id, path).
 
-    Two handles constructed with the same key produce bitwise-identical
-    sample sequences on any platform (numpy PCG64 seeded through
-    ``SeedSequence([seed, stream], spawn_key=path)``).  The path is a spawn
-    key, not more entropy: ``SeedSequence`` zero-pads short entropy, so
-    keying the path as entropy would give ``substream(0)`` the draws of its
-    parent and path ``(5,)`` the draws of ``(5, 0)``.  Each key entry must
-    lie in [0, 2^32): ``SeedSequence`` splits larger integers into 32-bit
-    words, so seed 2^32 would draw what ``(seed 0, stream 1)`` draws.  A
-    handle is single-owner: drawing advances its state.  Use
-    :meth:`substream` to derive independent child streams for parallel work.
+    Two handles constructed with the same key draw the same uniforms, bit for
+    bit, on every platform (numpy PCG64 seeded through
+    ``SeedSequence([seed, stream], spawn_key=path)``).  The draws computed
+    from them are bit for bit the same only under the same numpy build, libm
+    and CPU features: numpy and glibc pick their ``log`` kernels per CPU, and
+    numpy's AVX2 ``log`` puts about 1 in 300 Laplace draws 1 ulp away from
+    its AVX-512 one.  The path is a spawn key, not more entropy:
+    ``SeedSequence`` zero-pads short entropy, so keying the path as entropy
+    would give ``substream(0)`` the draws of its parent and path ``(5,)``
+    the draws of ``(5, 0)``.  Each key entry must lie in [0, 2^32):
+    ``SeedSequence`` splits larger integers into 32-bit words, so seed 2^32
+    would draw what ``(seed 0, stream 1)`` draws.  A handle is single-owner:
+    drawing advances its state.  Use :meth:`substream` to derive independent
+    child streams for parallel work.
     """
 
     def __init__(self, seed: int, stream: int = 0, _path: tuple[int, ...] = ()):
@@ -141,18 +143,16 @@ class RngHandle:
         return RngHandle(self.seed, self.stream, (*self.path, int(index)))
 
 
-def sample_laplace(d: LaplaceDist, rng: RngHandle, size: int | None = None):
-    """Laplace draws by numpy's inverse CDF, vectorized over ``Generator.random``:
-    x = loc + scale·copysign(log(1 - 2|u - 1/2|), u - 1/2).  A u of exactly 0
-    is redrawn, as ``Generator.laplace`` does, so the generator ends in its
-    state.  The values differ from numpy's only by its rounding of 2 - u - u.
-
-    ``size=None`` returns a scalar float; an integer returns a 1-D array.
+def sample_laplace(d: LaplaceDist, rng: RngHandle, size: int) -> np.ndarray:
+    """``size`` Laplace draws by numpy's inverse CDF, vectorized over
+    ``Generator.random``: x = scale·copysign(log(1 - 2|u - 1/2|), u - 1/2).
+    A u of exactly 0 is redrawn, as ``Generator.laplace`` does, so the
+    generator ends in its state.  The values differ from numpy's only by its
+    rounding of 2 - u - u.
     """
-    n = 1 if size is None else size
-    u = rng.generator.random(n)
+    u = rng.generator.random(size)
     while not u.all():  # as numpy does, redraw a u of 0, where log(2u) is -inf
-        u = np.concatenate((u[u != 0.0], rng.generator.random(n - np.count_nonzero(u))))
+        u = np.concatenate((u[u != 0.0], rng.generator.random(size - np.count_nonzero(u))))
     u -= 0.5
     x = np.abs(u)  # the one temporary array; the rest is in place
     x *= -2.0
@@ -160,30 +160,23 @@ def sample_laplace(d: LaplaceDist, rng: RngHandle, size: int | None = None):
     np.log(x, out=x)
     np.copysign(x, u, out=x)
     x *= d.scale
-    x += d.location
-    return float(x[0]) if size is None else x
+    return x
 
 
-def sample_exponential(d: ExponentialDist, rng: RngHandle, size: int | None = None):
-    """Exponential draws from numpy's ``Generator.exponential`` (scale 1/rate).
-
-    ``size=None`` returns a scalar float; an integer returns a 1-D array.
-    """
+def sample_exponential(d: ExponentialDist, rng: RngHandle, size: int) -> np.ndarray:
+    """``size`` draws from numpy's ``Generator.exponential`` (scale 1/rate)."""
     return rng.generator.exponential(1.0 / d.rate, size)
 
 
-def sample_gamma(d: GammaDist, rng: RngHandle, size: int | None = None):
-    """Gamma draws from numpy's ``Generator.gamma``, valid for every shape k > 0.
-
-    ``size=None`` returns a scalar float; an integer returns a 1-D array.
-    """
+def sample_gamma(d: GammaDist, rng: RngHandle, size: int) -> np.ndarray:
+    """``size`` draws from numpy's ``Generator.gamma``, valid for every shape k > 0."""
     return rng.generator.gamma(d.shape, d.scale, size)
 
 
-def char_fn(dist, omega):
-    """Analytic characteristic function of ``dist`` at ``omega`` (scalar or array).
+def char_fn(dist, omega) -> np.ndarray:
+    """Analytic characteristic function of ``dist`` on the array ``omega``.
 
-    Laplace(loc, b):    exp(j·w·loc) / (1 + w²b²)
+    Laplace(b):         1 / (1 + w²b²), real
     Exponential(rate):  1 / (1 - j·w/rate)
     Gamma(k, theta):    (1 - j·w·theta)^(-k), evaluated as
                         exp(-k·Log(1 - j·w·theta)); the principal Log is
@@ -191,19 +184,18 @@ def char_fn(dist, omega):
     """
     w = np.asarray(omega, dtype=np.float64)
     if isinstance(dist, LaplaceDist):
-        out = np.exp(1j * w * dist.location) / (1.0 + (w * dist.scale) ** 2)
+        out = 1.0 / (1.0 + (w * dist.scale) ** 2)
     elif isinstance(dist, ExponentialDist):
         out = 1.0 / (1.0 - 1j * w / dist.rate)
     elif isinstance(dist, GammaDist):
         out = np.exp(-dist.shape * np.log(1.0 - 1j * w * dist.scale))
     else:
         raise TypeError(f"unsupported distribution type: {type(dist).__name__}")
-    out = np.asarray(out, dtype=np.complex128)
-    return out if out.ndim else complex(out)
+    return np.asarray(out, dtype=np.complex128)
 
 
-def _cis(w, x, out=None):
-    """exp(j·w·x) for real ``w`` and ``x``, into ``out`` if given.
+def _cis(w, x, out):
+    """exp(j·w·x) for real ``w`` and ``x``, into the complex array ``out``.
 
     One ``tan`` and the half-angle identities: with tau = tan(w·x/2) and
     r = 2/(1 + tau²), cos = r − 1 and sin = r·tau.  numpy 2.4's float64
@@ -216,8 +208,6 @@ def _cis(w, x, out=None):
     """
     tau = np.multiply(0.5 * w, x)
     np.tan(tau, out=tau)
-    if out is None:
-        out = np.empty(tau.shape, dtype=np.complex128)
     np.copyto(out.imag, tau)
     np.multiply(tau, tau, out=tau)
     tau += 1.0
@@ -242,6 +232,8 @@ def _uniform_cf_sums(x, start, step, sums):
     rows of ones (baby row 0, and giant row 0 when ``start`` is 0 and one
     group holds every giant row) are written once, not per block; with
     ``start`` 0, giant row 1 is a copy of the leap, not a product by ones.
+    Every grid of :func:`empirical_char_fn` runs here; with 2 points, K is 2
+    and the leap goes unused.
     """
     k = min(CF_BABY, sums.size)
     giants = -(-sums.size // k)
@@ -280,53 +272,47 @@ def _uniform_cf_sums(x, start, step, sums):
             seg += (g[:rows] @ b.T).ravel()[:seg.size]
 
 
-def empirical_char_fn(samples, omega):
-    """Sample characteristic function (1/N)·sum exp(j·w·x_i).
+def uniform_grid(omega) -> tuple[np.ndarray, int]:
+    """``omega`` as a float array, and how many of its leading points are the
+    negatives of trailing ones: len//2 when the grid is symmetric about 0
+    and has at least 3 points, else 0.
 
-    Parameters
-    ----------
-    samples : array_like
-        Non-empty collection of real draws.
-    omega : float or array_like
-        Evaluation point(s), in any order.
+    Raises ValueError unless ``omega`` is a finite 1-D grid of at least 2
+    points that is uniform, ascending or descending: every step within
+    1e-12·|first step| of the first.  A grid is symmetric when every
+    |w + w[::-1]| is at most 1e-12·|w[-1] - w[0]|.  Both rules sit far below
+    sampling noise, and linspace grids hold them only to the ulp.
+    """
+    w = np.asarray(omega, dtype=np.float64)
+    if w.ndim != 1 or w.size < 2 or not np.isfinite(w).all():
+        raise ValueError(f"omega must be a finite 1-D grid of at least 2 points, got {omega!r}")
+    step = w[1] - w[0]
+    if (np.abs(np.diff(w) - step) > 1e-12 * np.abs(step)).any():
+        raise ValueError(f"omega must be a uniform grid, got {w!r}")
+    symmetric = w.size > 2 and (np.abs(w + w[::-1]) <= 1e-12 * np.abs(w[-1] - w[0])).all()
+    return w, w.size // 2 if symmetric else 0
+
+
+def empirical_char_fn(samples, omega) -> np.ndarray:
+    """Sample characteristic function (1/N)·sum exp(j·w·x_i) on the grid
+    ``omega``, which must pass :func:`uniform_grid`.
 
     The samples are cut into blocks of ``CF_BLOCK``; each block adds its
-    partial sums for every grid point, so the working set is a few hundred
-    KiB whatever the sample count or grid size.  On a uniform grid a block
-    builds baby and giant phase rotations and sums all points with one
-    complex matrix product (see :func:`_uniform_cf_sums`); on any other
-    grid, or a scalar, it evaluates exp(j·w·x) point by point.  When a
-    uniform grid is symmetric about 0, only the half from the middle point
-    on is computed and the other half is its conjugate:
-    phi(-w) = conj(phi(w)) for real samples.  Uniformity and symmetry are
-    judged to a relative 1e-12, far below sampling noise, because linspace
-    grids hold them only to the ulp.
+    partial sums for every grid point with baby and giant phase rotations
+    and one complex matrix product (see :func:`_uniform_cf_sums`), so the
+    working set is a few hundred KiB whatever the sample count or grid
+    size.  When the grid is symmetric about 0, only the half from the middle
+    point on is computed and the other half is its conjugate:
+    phi(-w) = conj(phi(w)) for real samples.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("empirical_char_fn requires at least one sample")
-    w = np.asarray(omega, dtype=np.float64)
-    scalar = w.ndim == 0
-    wv = np.atleast_1d(w)
-
-    uniform = wv.size > 2 and bool(
-        np.allclose(np.diff(wv), wv[1] - wv[0], rtol=1e-12, atol=0.0)
-    )
-    symmetric = uniform and bool(np.allclose(
-        wv + wv[::-1], 0.0, rtol=0.0, atol=1e-12 * abs(wv[-1] - wv[0])
-    ))
-    half = wv.size // 2 if symmetric else 0
-    pts = wv[half:]
-
-    out = np.zeros(wv.size, dtype=np.complex128)
+    w, half = uniform_grid(omega)
+    pts = w[half:]
+    out = np.zeros(w.size, dtype=np.complex128)
     sums = out[half:]
-    if uniform:
-        _uniform_cf_sums(x, pts[0], (pts[-1] - pts[0]) / (pts.size - 1), sums)
-    else:
-        for lo in range(0, x.size, CF_BLOCK):
-            xb = x[lo:lo + CF_BLOCK]
-            for i, wi in enumerate(pts):
-                sums[i] += _cis(wi, xb).sum()
+    _uniform_cf_sums(x, pts[0], (pts[-1] - pts[0]) / (pts.size - 1), sums)
     sums /= x.size
     np.conjugate(out[::-1][:half], out=out[:half])
-    return complex(out[0]) if scalar else out
+    return out

@@ -72,7 +72,7 @@ def pair(params: SystemParams, matched: bool) -> Pair:
     noise = GammaDist(params.k, params.theta)
     if matched:
         return Pair(ExponentialDist(params.lam), noise, params.alpha, params.gamma, True)
-    return Pair(LaplaceDist(0.0, 1.0 / params.lam), noise, 1.0, 1.0, False)
+    return Pair(LaplaceDist(1.0 / params.lam), noise, 1.0, 1.0, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,8 @@ def _draws(dist, samples: int, rng: RngHandle, centered: bool):
 
 def check_matching_empirical(pair: Pair, omega, samples: int, rng: RngHandle) -> CfResidualReport:
     """Sampling-based version of :func:`check_matching`, on ``samples``
-    draws per side from ``rng``.
+    draws per side from ``rng``.  ``omega``, and alpha times it, must be
+    grids that :func:`~remest.distributions.uniform_grid` accepts.
 
     Each side is drawn lazily, SAMPLE_CHUNK samples at a time, and every
     source chunk is drawn before the first noise chunk: the draws are

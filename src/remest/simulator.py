@@ -163,7 +163,7 @@ def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_e
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    source = LaplaceDist(0.0, 1.0 / p.lam)
+    source = LaplaceDist(1.0 / p.lam)
     noise = GammaDist(p.k, p.theta)
 
     # one call per block, so a block's arrays are freed before the next is drawn

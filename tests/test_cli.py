@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from remest import simulator
 from remest.analytics import cost_closed_form, numeric_argmin, optimal_threshold
 from remest.cli import (
     _CHECK_COLUMNS,
@@ -224,10 +225,26 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("fields", [
+        {"omega_min": 100.0, "omega_max": 101.0},  # steps 1.4e-12 of a step apart
+        {"omega_min": 0.0, "omega_points": 10_000},
+        {"lambda": 1.7, "omega_min": -1e-3, "omega_points": 5_000},  # alpha*omega is not
+    ])
+    def test_grid_the_empirical_cf_cannot_step_is_config_error(self, tmp_path, capsys, fields):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", samples=10_000, out=str(out), **fields)
+        assert main(["verify-matching", "--config", str(cfg)]) == 2
+        assert "'omega_points'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [
         {},
         {"pair": "unmatched"},
         {"lambda": 4.0, "omega_min": 0.0, "omega_max": 3e153},
         {"pair": "unmatched", "omega_min": -5e153, "omega_max": 0.0},
+        # grids the empirical CF can step
+        {"omega_points": 2},
+        {"omega_min": 100.0, "omega_max": 101.0, "omega_points": 11},
+        {"pair": "unmatched", "lambda": 1.7, "omega_min": -1e-3, "omega_points": 5_000},
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_whose_cf_arguments_square_finitely_is_accepted(self, tmp_path, fields):
@@ -623,6 +640,26 @@ class TestSweep:
         rows = list(csv.reader(out.open()))
         assert rows[0][-3:] == ["j_mc_mean", "j_mc_std_error", "j_mc_within_4se"]
         assert rows[1][-1] == "true"
+
+    def test_a_row_6_se_off_fails_the_spot_checks(self, tmp_path, monkeypatch):
+        # every row's estimate 3 SE from J_at_beta_star, and the second 6 SE
+        gaps = iter([3.0, 6.0, -3.0])
+
+        def estimate_cost(p, strat, horizon, n_episodes, rng):
+            se = 0.01
+            j = cost_closed_form(p, optimal_threshold(p)).total
+            return simulator.MonteCarloEstimate(j + next(gaps) * se, se, n_episodes)
+
+        monkeypatch.setattr(simulator, "estimate_cost", estimate_cost)
+        out = tmp_path / "sweep.json"
+        cfg = write_config(tmp_path / "cfg.json", out=str(out), lambda_grid=[1.0],
+                           k_grid=[2.0], p_t_grid=[1.0], c_grid=[0.5, 1.0, 2.0],
+                           spot_check=True)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        report = json.loads(out.read_text())
+        assert [row["j_mc_within_4se"] for row in report["rows"]] == [True, False, True]
+        assert {c["metric"]: c["passed"] for c in report["checks"]} == {
+            "argmin_agreement_all_rows": True, "mc_spot_checks": False}
 
     def test_minimizers_beyond_the_first_bracket(self, tmp_path):
         # beta* runs from 11.55 to 18.53 over the default k, p_t and c grids

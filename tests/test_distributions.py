@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from remest.distributions import (
     CF_BLOCK,
@@ -15,6 +15,7 @@ from remest.distributions import (
     sample_exponential,
     sample_gamma,
     sample_laplace,
+    uniform_grid,
 )
 from remest.distributions import _cis
 from remest.matching import SAMPLE_CHUNK
@@ -25,11 +26,11 @@ N = 10**6
 class TestValidation:
     def test_laplace_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            LaplaceDist(0.0, 0.0)
+            LaplaceDist(0.0)
         with pytest.raises(ValueError):
-            LaplaceDist(0.0, -1.0)
+            LaplaceDist(-1.0)
         with pytest.raises(ValueError):
-            LaplaceDist(float("nan"), 1.0)
+            LaplaceDist(float("nan"))
 
     def test_exponential_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -60,16 +61,16 @@ class TestValidation:
 
 class TestRngHandle:
     def test_same_key_is_bitwise_identical(self):
-        a = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(99, 4), size=10_000)
-        b = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(99, 4), size=10_000)
+        a = sample_laplace(LaplaceDist(1.0), RngHandle(99, 4), size=10_000)
+        b = sample_laplace(LaplaceDist(1.0), RngHandle(99, 4), size=10_000)
         assert np.array_equal(a, b)
         g1 = sample_gamma(GammaDist(2.0, 1.0), RngHandle(99, 4), size=10_000)
         g2 = sample_gamma(GammaDist(2.0, 1.0), RngHandle(99, 4), size=10_000)
         assert np.array_equal(g1, g2)
 
     def test_streams_are_independent(self):
-        a = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(99, 0), size=1_000)
-        b = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(99, 1), size=1_000)
+        a = sample_laplace(LaplaceDist(1.0), RngHandle(99, 0), size=1_000)
+        b = sample_laplace(LaplaceDist(1.0), RngHandle(99, 1), size=1_000)
         assert not np.array_equal(a, b)
 
     def test_substream_deterministic(self):
@@ -107,30 +108,24 @@ class TestRngHandle:
         ).random(8)
         assert np.array_equal(RngHandle(top, top).substream(top).generator.random(8), expected)
 
-    def test_scalar_draws_match_prefix_cost(self):
-        x = sample_laplace(LaplaceDist(0.0, 2.0), RngHandle(5))
-        assert isinstance(x, float)
-        g = sample_gamma(GammaDist(1.5, 0.5), RngHandle(5))
-        assert isinstance(g, float) and g > 0.0
-
 
 class TestLaplaceSampling:
     def test_mean_at_unit_rate(self):
-        d = LaplaceDist(0.0, 1.0)
+        d = LaplaceDist(1.0)
         x = sample_laplace(d, RngHandle(2024, 1), size=N)
         assert abs(x.mean()) < 0.005  # std error sqrt(2)/1e3
 
     def test_variance_at_rate_two(self):
-        d = LaplaceDist(0.0, 0.5)  # rate 2 -> variance 2/4 = 0.5
+        d = LaplaceDist(0.5)  # rate 2 -> variance 2/4 = 0.5
         x = sample_laplace(d, RngHandle(2024, 2), size=N)
         assert x.var(ddof=1) == pytest.approx(0.5, rel=0.02)
 
     def test_sign_symmetry(self):
-        x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(2024, 3), size=N)
+        x = sample_laplace(LaplaceDist(1.0), RngHandle(2024, 3), size=N)
         assert abs((x > 0).mean() - 0.5) < 0.002
 
     def test_ks_against_scipy_cdf(self):
-        x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(2024, 4), size=N)
+        x = sample_laplace(LaplaceDist(1.0), RngHandle(2024, 4), size=N)
         ks = stats.kstest(x, stats.laplace(loc=0.0, scale=1.0).cdf)
         assert ks.statistic < 0.002
 
@@ -158,32 +153,32 @@ class TestLaplaceInverseCdf:
     """sample_laplace applies Generator.laplace's inverse CDF to
     Generator.random's uniforms, vectorized."""
 
-    @pytest.mark.parametrize("size", [None, 1, 4096, 100_000])
-    @pytest.mark.parametrize("d", [LaplaceDist(0.0, 1.0), LaplaceDist(-1.5, 0.37)],
-                             ids=["unit", "shifted"])
-    def test_same_state_and_values_as_numpy(self, d, size):
+    @pytest.mark.parametrize("size", [1, 4096, 100_000])
+    @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (-1.5, 0.37)], ids=["unit", "shifted"])
+    def test_same_state_and_values_as_numpy(self, loc, scale, size):
+        # the law is centred; a caller shifts its draws by adding a location
         ours, theirs = RngHandle(2024, 7), RngHandle(2024, 7)
-        x = sample_laplace(d, ours, size=size)
-        y = theirs.generator.laplace(d.location, d.scale, size)
+        x = loc + sample_laplace(LaplaceDist(scale), ours, size=size)
+        y = theirs.generator.laplace(loc, scale, size)
         assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
-        assert isinstance(x, float) if size is None else x.shape == (size,)
+        assert x.shape == (size,)
         np.testing.assert_allclose(x, y, rtol=1e-10, atol=0.0)
 
     def test_inverse_cdf_of_the_same_uniforms_bit_for_bit(self):
         # scipy's ppf takes log(2u) or -log(2(1 - u)), exact arguments as here
-        d = LaplaceDist(0.3, 1.7)
+        d = LaplaceDist(1.7)
         u = RngHandle(2024, 8).generator.random(100_000)
         x = sample_laplace(d, RngHandle(2024, 8), size=u.size)
-        assert np.array_equal(x, d.location + d.scale * stats.laplace.ppf(u))
+        assert np.array_equal(x, d.scale * stats.laplace.ppf(u))
 
-    @pytest.mark.parametrize("size, ahead", [(None, 0), (1, 0), (5, 0), (5, 3), (4096, 4095)])
+    @pytest.mark.parametrize("size, ahead", [(1, 0), (5, 0), (5, 3), (4096, 4095)])
     def test_a_zero_uniform_is_redrawn_as_numpy_does(self, size, ahead):
-        d = LaplaceDist(0.0, 2.0)
+        d = LaplaceDist(2.0)
         ours = _zero_after(RngHandle(2024, 9), ahead)
         theirs = _zero_after(RngHandle(2024, 9), ahead)
         assert _zero_after(RngHandle(2024, 9), ahead).generator.random(ahead + 1)[-1] == 0.0
         x = sample_laplace(d, ours, size=size)
-        y = theirs.generator.laplace(d.location, d.scale, size)
+        y = theirs.generator.laplace(0.0, d.scale, size)
         assert np.all(np.isfinite(x))
         assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
         np.testing.assert_allclose(x, y, rtol=1e-10, atol=0.0)
@@ -227,7 +222,7 @@ class TestExponentialSampling:
 
 class TestCharFn:
     def test_unity_at_origin(self):
-        for d in (LaplaceDist(0.0, 1.0), ExponentialDist(2.0), GammaDist(2.0, 1.0)):
+        for d in (LaplaceDist(1.0), ExponentialDist(2.0), GammaDist(2.0, 1.0)):
             assert char_fn(d, 0.0) == 1.0 + 0.0j
 
     def test_gamma_closed_value(self):
@@ -235,7 +230,7 @@ class TestCharFn:
         assert char_fn(GammaDist(2.0, 1.0), 1.0) == pytest.approx(0.5j, abs=1e-15)
 
     def test_laplace_closed_value(self):
-        assert char_fn(LaplaceDist(0.0, 1.0), 1.0) == pytest.approx(0.5 + 0.0j, abs=1e-15)
+        assert char_fn(LaplaceDist(1.0), 1.0) == pytest.approx(0.5 + 0.0j, abs=1e-15)
 
     def test_exponential_formula(self):
         w = np.linspace(-4.0, 4.0, 17)
@@ -243,9 +238,17 @@ class TestCharFn:
             char_fn(ExponentialDist(3.0), w), 1.0 / (1.0 - 1j * w / 3.0), rtol=1e-14
         )
 
+    @pytest.mark.parametrize("scale", [0.7, 2.5])
+    def test_laplace_is_the_fourier_integral_of_its_density(self, scale):
+        # the density e^(-|x|/b)/(2b) is even: phi(w) = integral over x > 0 of cos(w·x)·e^(-x/b)/b
+        w = np.array([0.0, 0.3, 1.0, 2.2, 7.5])
+        want = [integrate.quad(lambda x: np.exp(-x / scale) / scale, 0.0, np.inf,
+                               weight="cos", wvar=wi)[0] for wi in w]
+        np.testing.assert_allclose(char_fn(LaplaceDist(scale), w), want, rtol=1e-8, atol=0.0)
+
     def test_conjugate_symmetry(self):
         w = np.linspace(0.1, 5.0, 20)
-        for d in (LaplaceDist(0.0, 0.7), ExponentialDist(1.2), GammaDist(1.7, 0.9)):
+        for d in (LaplaceDist(0.7), ExponentialDist(1.2), GammaDist(1.7, 0.9)):
             np.testing.assert_allclose(char_fn(d, -w), np.conj(char_fn(d, w)), rtol=1e-14)
 
 
@@ -253,7 +256,7 @@ class TestMomentMatch:
     @pytest.mark.parametrize(
         "dist,sampler",
         [
-            (LaplaceDist(0.0, 1.0), sample_laplace),
+            (LaplaceDist(1.0), sample_laplace),
             (ExponentialDist(1.0), sample_exponential),
             (GammaDist(2.0, 1.0), sample_gamma),
         ],
@@ -270,36 +273,34 @@ class TestMomentMatch:
 
 class TestEmpiricalCharFn:
     def test_degenerate_samples(self):
-        assert empirical_char_fn([0.0, 0.0, 0.0], 3.7) == 1.0 + 0.0j
+        np.testing.assert_array_equal(empirical_char_fn([0.0, 0.0, 0.0], [3.7, 4.2]), 1.0)
 
     def test_single_sample(self):
-        x, w = 1.3, -2.1
-        assert empirical_char_fn([x], w) == pytest.approx(np.exp(1j * w * x), abs=1e-15)
+        x, w = 1.3, np.array([-2.1, 0.4])
+        np.testing.assert_allclose(empirical_char_fn([x], w), np.exp(1j * w * x), rtol=0,
+                                   atol=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            empirical_char_fn([], 1.0)
+            empirical_char_fn([], np.linspace(-1.0, 1.0, 3))
 
     def test_gamma_draws_close_to_analytic(self):
         d = GammaDist(2.0, 1.0)
         x = sample_gamma(d, RngHandle(2024, 10), size=N)
-        est = empirical_char_fn(x, 0.5)
-        exact = char_fn(d, 0.5)
-        assert abs(abs(est) - abs(exact)) < 0.005
-        assert abs(np.angle(est) - np.angle(exact)) < 0.005
+        est, exact = empirical_char_fn(x, [0.5, 1.0]), char_fn(d, np.array([0.5, 1.0]))
+        assert np.abs(np.abs(est) - np.abs(exact)).max() < 0.005
+        assert np.abs(np.angle(est) - np.angle(exact)).max() < 0.005
 
     def test_uniform_grid_fast_path_matches_pointwise(self):
         rng = RngHandle(11)
-        x = sample_laplace(LaplaceDist(0.0, 1.0), rng, size=10_000)
+        x = sample_laplace(LaplaceDist(1.0), rng, size=10_000)
         grid = np.linspace(-5.0, 5.0, 51)
-        fast = empirical_char_fn(x, grid)
-        slow = np.array([empirical_char_fn(x, float(w)) for w in grid])
-        np.testing.assert_allclose(fast, slow, atol=1e-12)
+        np.testing.assert_allclose(empirical_char_fn(x, grid), _direct_cf(x, grid), atol=1e-12)
 
     @pytest.mark.parametrize(
         "dist,sampler",
         [
-            (LaplaceDist(0.0, 1.0), sample_laplace),
+            (LaplaceDist(1.0), sample_laplace),
             (ExponentialDist(1.0), sample_exponential),
             (GammaDist(2.0, 1.0), sample_gamma),
         ],
@@ -315,8 +316,64 @@ class TestEmpiricalCharFn:
 
 def _direct_cf(x, omega):
     """Reference: the cos and sin means at each point, one point at a time."""
-    return np.array([complex(np.cos(w * x).mean(), np.sin(w * x).mean())
-                     for w in np.atleast_1d(omega)])
+    return np.array([complex(np.cos(w * x).mean(), np.sin(w * x).mean()) for w in omega])
+
+
+def _moved(grid, i, by):
+    """``grid`` with its point ``i`` moved by ``by``."""
+    out = grid.copy()
+    out[i] += by
+    return out
+
+
+class TestGridRules:
+    """The empirical CF takes finite, 1-D, uniform grids of at least 2
+    points: every step within 1e-12 of the first, relatively.  It computes
+    one half of a grid symmetric about 0 to 1e-12 of its span."""
+
+    GRID = np.linspace(-5.0, 5.0, 101)
+    STEP = 0.1
+
+    @pytest.mark.parametrize("omega", [
+        1.7, [1.7], np.geomspace(0.1, 5.0, 7), [-3.0, -0.2, 0.0, 0.7, 1.1, 4.0],
+        [0.0, np.nan, 2.0], [-np.inf, 0.0, np.inf], np.zeros((2, 3)),
+    ], ids=["scalar", "one-point", "geometric", "non-uniform", "nan", "inf", "2-d"])
+    def test_rejects_what_is_not_a_uniform_grid(self, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            empirical_char_fn(np.ones(5), omega)
+
+    def test_uniformity_rule(self):
+        with pytest.raises(ValueError, match="uniform"):
+            uniform_grid(_moved(self.GRID, 37, 2e-12 * self.STEP))
+        assert uniform_grid(_moved(self.GRID, 37, 2e-13 * self.STEP))[1] == 50
+
+    def test_symmetry_rule(self):
+        # a shift of d leaves the grid uniform and moves every |w + w[::-1]| to 2d
+        span = 10.0
+        assert uniform_grid(self.GRID + 1e-12 * span)[1] == 0
+        assert uniform_grid(self.GRID + 1e-13 * span)[1] == 50
+        # the conjugate half would leave one point with no step
+        assert uniform_grid(np.array([-2.0, 2.0]))[1] == 0
+
+    def test_rules_decide_as_allclose_does(self):
+        # the tests of the rules as np.allclose writes them, on grids moved
+        # by random amounts about both thresholds
+        rng = np.random.default_rng(3)
+        for size in (3, 4, 101):
+            base = np.linspace(-1.0, 1.0, size)
+            step = base[1] - base[0]
+            for _ in range(200):
+                w = base + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -11.0)
+                w = _moved(w, rng.integers(size), rng.normal() * 10.0 ** rng.uniform(-14.0, -11.0)
+                           * step)
+                uniform = bool(np.allclose(np.diff(w), w[1] - w[0], rtol=1e-12, atol=0.0))
+                symmetric = uniform and bool(np.allclose(
+                    w + w[::-1], 0.0, rtol=0.0, atol=1e-12 * abs(w[-1] - w[0])))
+                if uniform:
+                    assert uniform_grid(w)[1] == (size // 2 if symmetric else 0)
+                else:
+                    with pytest.raises(ValueError):
+                        uniform_grid(w)
 
 
 class TestRotation:
@@ -326,7 +383,7 @@ class TestRotation:
 
     @staticmethod
     def _max_error(t):
-        z = _cis(1.0, t)
+        z = _cis(1.0, t, np.empty(t.shape, dtype=np.complex128))
         assert np.isfinite(z).all()
         return max(np.abs(z.real - np.cos(t)).max(), np.abs(z.imag - np.sin(t)).max())
 
@@ -341,7 +398,7 @@ class TestRotation:
         assert self._max_error(t) <= 1e-15
 
     def test_exact_at_zero(self):
-        z = _cis(1.0, np.zeros(3))
+        z = _cis(1.0, np.zeros(3), np.empty(3, dtype=np.complex128))
         np.testing.assert_array_equal(z.real, 1.0)
         np.testing.assert_array_equal(z.imag, 0.0)
 
@@ -358,7 +415,7 @@ class TestBlockedCharFn:
 
     @pytest.fixture(scope="class")
     def x(self):
-        return sample_laplace(LaplaceDist(0.3, 1.0), RngHandle(12), size=self.N)
+        return sample_laplace(LaplaceDist(1.0), RngHandle(12), size=self.N) + 0.3
 
     @pytest.mark.parametrize(
         "grid",
@@ -367,10 +424,11 @@ class TestBlockedCharFn:
             np.linspace(-5.0, 5.0, 100),
             np.linspace(-2.0, 7.0, 40),
             np.linspace(5.0, -5.0, 101),
-            np.array([-3.0, -0.2, 0.0, 0.7, 1.1, 4.0]),
-            np.float64(1.7),
             np.linspace(-50.0, 50.0, 101),
             np.linspace(-1.0, 2.0, 2),
+            np.linspace(-2.0, 2.0, 2),
+            np.linspace(0.0, 3.0, 2),
+            np.array([1.5, 1.5]),
             np.linspace(-1.0, 1.0, 3),
             np.linspace(0.5, 2.5, 3),
             np.linspace(-1.5, 1.5, 9),
@@ -378,13 +436,13 @@ class TestBlockedCharFn:
             np.linspace(-2.0, 7.0, 150),
         ],
         ids=["odd-symmetric", "even-symmetric", "asymmetric", "descending",
-             "non-uniform", "scalar", "wide", "two-point", "three-point-symmetric",
+             "wide", "two-point", "two-point-symmetric", "two-point-from-zero",
+             "two-point-zero-step", "three-point-symmetric",
              "three-point", "short-half", "giant-groups-symmetric", "giant-groups"],
     )
     def test_matches_direct_means(self, x, grid):
         got = empirical_char_fn(x, grid)
-        np.testing.assert_allclose(np.atleast_1d(got), _direct_cf(x, grid), rtol=0, atol=1e-12)
-        assert isinstance(got, complex) == (np.ndim(grid) == 0)
+        np.testing.assert_allclose(got, _direct_cf(x, grid), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("size", [101, 100])
     def test_symmetric_grid_halves_are_conjugates(self, x, size):
@@ -411,11 +469,11 @@ class TestCharFnBoundedMemory:
 
     @pytest.mark.parametrize(
         "grid",
-        [np.linspace(-5.0, 5.0, 101), np.linspace(-2.0, 7.0, 40), np.geomspace(0.1, 5.0, 7)],
-        ids=["symmetric", "asymmetric", "non-uniform"],
+        [np.linspace(-5.0, 5.0, 101), np.linspace(-2.0, 7.0, 40)],
+        ids=["symmetric", "asymmetric"],
     )
     def test_peak_does_not_grow_with_samples(self, grid):
-        x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(13), size=2**20)
+        x = sample_laplace(LaplaceDist(1.0), RngHandle(13), size=2**20)
         small = self._peak(x[:2**16], grid)
         large = self._peak(x, grid)
         assert large <= small + self.SLACK, (small, large)
@@ -423,7 +481,7 @@ class TestCharFnBoundedMemory:
         assert large < x.size * 16 // 4, large
 
     def test_peak_does_not_grow_with_grid_beyond_the_result(self):
-        x = sample_laplace(LaplaceDist(0.0, 1.0), RngHandle(13), size=2**16)
+        x = sample_laplace(LaplaceDist(1.0), RngHandle(13), size=2**16)
         narrow, wide = np.linspace(-5.0, 5.0, 101), np.linspace(-5.0, 5.0, 10_001)
         result_growth = (wide.size - narrow.size) * 16  # bytes of the larger complex result
         small = self._peak(x, narrow)
@@ -440,7 +498,7 @@ class TestChunkedDraws:
 
     @pytest.mark.parametrize("source", [
         lambda rng, n: sample_exponential(ExponentialDist(1.0), rng, size=n),
-        lambda rng, n: sample_laplace(LaplaceDist(0.0, 1.0), rng, size=n),
+        lambda rng, n: sample_laplace(LaplaceDist(1.0), rng, size=n),
     ], ids=["exponential", "laplace"])
     @pytest.mark.parametrize("shape", [2.0, 0.5])
     def test_chunked_draws_equal_one_shot(self, source, shape):

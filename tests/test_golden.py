@@ -12,13 +12,15 @@ others hold.  On a key with no entry the tests skip and name it.  Beside its
 digests each entry keeps the report's headline check values, so a digest
 that moves shows what moved and by how much.
 
-A change that moves report values on purpose rewrites the entry of the
-running key with ``python tests/test_golden.py`` and states the old and new
-headline values in CHANGES.md. Before it rewrites the file, that command
-prints each case whose JSON or CSV digest changed, with the headline values
-recorded for it and the new ones.
+``python tests/test_golden.py --check`` runs every case and prints each
+one whose JSON or CSV digest changed, with the headline values recorded for
+it and the new ones; it exits 1 if any case moved and writes nothing.  A
+change that moves report values on purpose rewrites the entry of the
+running key with ``python tests/test_golden.py``, which prints the same
+lines first, and states the old and new headline values in CHANGES.md.
 """
 
+import argparse
 import hashlib
 import json
 import platform
@@ -87,16 +89,26 @@ def headline(entry: dict) -> str:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the golden digests of this platform.")
+    parser.add_argument("--check", action="store_true",
+                        help="only report the cases that moved; exit 1 if any did")
+    check = parser.parse_args().check
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     recorded = table.get(platform_key(), {})
     with tempfile.TemporaryDirectory() as tmp:
-        table[platform_key()] = {name: run_case(name, Path(tmp)) for name in CASES}
-    for name, entry in table[platform_key()].items():
+        current = {name: run_case(name, Path(tmp)) for name in CASES}
+    n_moved = 0
+    for name, entry in current.items():
         old = recorded.get(name, {})
         moved = [key for key in ("json_sha256", "csv_sha256") if old.get(key) != entry[key]]
         if moved:
+            n_moved += 1
             print(f"{name}: {' and '.join(moved)} changed")
             print(f"  old: {headline(old)}")
             print(f"  new: {headline(entry)}")
+    if check:
+        print(f"{n_moved} of {len(CASES)} cases moved for {platform_key()}")
+        sys.exit(1 if n_moved else 0)
+    table[platform_key()] = current
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"{DIGESTS}: wrote {len(CASES)} entries for {platform_key()}")

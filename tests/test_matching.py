@@ -75,7 +75,7 @@ class TestPair:
 
     def test_unmatched_pair_laws_and_gains(self):
         p = SystemParams(lam=0.5, k=4.0, p_t=9.0, c=1.0)
-        assert pair(p, False) == Pair(LaplaceDist(0.0, 2.0), GammaDist(4.0, 3.0), 1.0, 1.0,
+        assert pair(p, False) == Pair(LaplaceDist(2.0), GammaDist(4.0, 3.0), 1.0, 1.0,
                                       False)
 
     def test_uncentered_lhs_is_the_laplace_cf_bit_for_bit(self):
@@ -83,7 +83,7 @@ class TestPair:
         for lam in (1.0, 0.5, 3.0):
             p = SystemParams(lam=lam, k=2.0, p_t=1.0, c=1.0)
             report = check_matching(pair(p, False), OMEGA)
-            assert report.lhs.tobytes() == char_fn(LaplaceDist(0.0, 1.0 / lam), OMEGA).tobytes()
+            assert report.lhs.tobytes() == char_fn(LaplaceDist(1.0 / lam), OMEGA).tobytes()
 
 
 class TestAnalyticMatching:

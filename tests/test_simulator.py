@@ -158,7 +158,7 @@ class TestRunEpisode:
     def test_block_i_draws_from_substream_i(self):
         rng = RngHandle(8, 2)
         tr = run_episode(REF, OPTIMAL, CHUNK_STAGES + 5, rng)
-        source = LaplaceDist(0.0, 1.0 / REF.lam)
+        source = LaplaceDist(1.0 / REF.lam)
         assert np.array_equal(tr.x[:CHUNK_STAGES],
                               sample_laplace(source, rng.substream(0), size=CHUNK_STAGES))
         assert np.array_equal(tr.x[CHUNK_STAGES:],
@@ -349,7 +349,7 @@ def _reference_blocks(p, strat, horizon, n_episodes, rng):
     else:
         bounds = [(r, r + 1, c0, min(c0 + CHUNK_STAGES, horizon))
                   for r in range(n_episodes) for c0 in range(0, horizon, CHUNK_STAGES)]
-    source, noise = LaplaceDist(0.0, 1.0 / p.lam), GammaDist(p.k, p.theta)
+    source, noise = LaplaceDist(1.0 / p.lam), GammaDist(p.k, p.theta)
     for i, (r0, r1, c0, c1) in enumerate(bounds):
         sub = rng.substream(i)
         shape = (r1 - r0, c1 - c0)
@@ -640,6 +640,14 @@ class TestConditionalFold:
         else:
             assert stats.problem is None
             assert stats.mse_tx.n == stats.power.n == stats.bias_tx.n == n_tx
+
+    def test_tens_of_transmissions_are_too_few(self):
+        # literal bounds: the parametrized test above moves with the constant
+        sparse = ThresholdAffineStrategy(REF, 3.0)  # transmits at e^-3, about 5% of stages
+        _, stats = estimate_cost(REF, sparse, 100, 10, RngHandle(45), conditional=True)
+        assert 10 <= stats.n_transmissions <= 99
+        assert (stats.mse_tx, stats.power, stats.bias_tx) == (None, None, None)
+        assert "transmissions" in stats.problem
 
     @pytest.mark.parametrize("negatives", [0, 1])
     def test_sign_branch_with_fewer_than_two_transmissions(self, negatives):

@@ -103,7 +103,7 @@ class TestDecoder:
 
 
 def _transmitting_draws(params, beta, n, seed):
-    src = LaplaceDist(0.0, 1.0 / params.lam)
+    src = LaplaceDist(1.0 / params.lam)
     x = sample_laplace(src, RngHandle(seed), size=n)
     return x[np.abs(x) > beta]
 
