@@ -6,6 +6,7 @@ exponential tails, and gamma channel noise.  All randomness flows through
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,11 @@ __all__ = [
 ]
 
 
-# Samples per block of the empirical CF.  A uniform-grid block holds a baby
-# and a giant matrix of up to CF_BABY rows of this length, 256 KiB each, and
-# one leap row.
-# 4096 ran the CF about 10% faster on a 2-vCPU host, but its 1 MiB working
-# set would add 3% to the peak memory of verify-matching at 1e6 samples.
+# Samples per block of the empirical CF.  Each thread that computes one keeps
+# a baby and a giant matrix of CF_BABY rows of this length, 256 KiB each, and
+# one leap row (see _blocks).
+# 4096 ran the CF about 10% faster on a 2-vCPU host, but its blocks would add
+# another 544 KiB to the peak memory of verify-matching.
 CF_BLOCK = 2048
 
 # Grid points per giant step of the uniform-grid CF: point a·CF_BABY + b is
@@ -217,6 +218,26 @@ def _cis(w, x, out):
     return out
 
 
+_scratch = threading.local()
+
+
+def _blocks():
+    """This thread's baby, giant and leap rows for :func:`_uniform_cf_sums`:
+    CF_BABY × CF_BLOCK, CF_BABY × CF_BLOCK and CF_BLOCK complex entries,
+    544 KiB.  They are made on the thread's first call and kept, so a call
+    pays no allocation and no first touch of fresh pages; a call uses their
+    leading rows and columns.  Only baby row 0, all ones, carries over from
+    one call to the next.  One set per thread, so concurrent calls never
+    share a row."""
+    try:
+        return _scratch.blocks
+    except AttributeError:
+        baby = np.empty((CF_BABY, CF_BLOCK), dtype=np.complex128)
+        baby[0] = 1.0
+        _scratch.blocks = (baby, np.empty_like(baby), np.empty(CF_BLOCK, dtype=np.complex128))
+        return _scratch.blocks
+
+
 def _uniform_cf_sums(x, start, step, sums):
     """Add sum_i exp(j·(start + p·step)·x_i) to ``sums[p]`` for every p.
 
@@ -228,20 +249,18 @@ def _uniform_cf_sums(x, start, step, sums):
     exp(j·K·step·x), and one product each further giant row; the partial
     sums of all points are then one complex matrix product, giant @ baby.T.
     Giant rows run in groups of at most K against the same baby matrix, so
-    memory stays at 2·K + 1 rows of a block whatever the grid size.  The
-    rows of ones (baby row 0, and giant row 0 when ``start`` is 0 and one
-    group holds every giant row) are written once, not per block; with
+    the 2·K + 1 rows of a block are this thread's :func:`_blocks` whatever
+    the grid size or sample count.  The rows of ones (baby row 0 once per
+    thread, and giant row 0 once per call when ``start`` is 0 and one group
+    holds every giant row) are not written per block; with
     ``start`` 0, giant row 1 is a copy of the leap, not a product by ones.
     Every grid of :func:`empirical_char_fn` runs here; with 2 points, K is 2
     and the leap goes unused.
     """
     k = min(CF_BABY, sums.size)
     giants = -(-sums.size // k)
-    width = min(CF_BLOCK, x.size)
-    baby = np.empty((k, width), dtype=np.complex128)
-    giant = np.empty((min(k, giants), width), dtype=np.complex128)
-    leap = np.empty(width, dtype=np.complex128)
-    baby[0] = 1.0
+    baby, giant, leap = _blocks()
+    baby, giant = baby[:k], giant[:min(k, giants)]
     centred = start == 0.0  # the middle of an odd symmetric grid
     if centred:
         giant[0] = 1.0
@@ -299,11 +318,13 @@ def empirical_char_fn(samples, omega) -> np.ndarray:
 
     The samples are cut into blocks of ``CF_BLOCK``; each block adds its
     partial sums for every grid point with baby and giant phase rotations
-    and one complex matrix product (see :func:`_uniform_cf_sums`), so the
-    working set is a few hundred KiB whatever the sample count or grid
-    size.  When the grid is symmetric about 0, only the half from the middle
-    point on is computed and the other half is its conjugate:
-    phi(-w) = conj(phi(w)) for real samples.
+    and one complex matrix product (see :func:`_uniform_cf_sums`).  The
+    blocks are this thread's 544 KiB, kept from one call to the next, so
+    the working set does not grow with the sample count or grid size, and
+    a call on a few blocks pays for no fresh pages.  When the grid is
+    symmetric about 0, only the half from the middle point on is computed
+    and the other half is its conjugate: phi(-w) = conj(phi(w)) for real
+    samples.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:

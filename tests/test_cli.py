@@ -568,7 +568,7 @@ class TestVerifyMatchingBoundedMemory:
     with ``samples``: each side is drawn and passed on one chunk at a time.
     Holding both sample arrays, 2^20 samples would add 15 MiB over 2^16."""
 
-    SLACK = 2**20  # bytes: two chunks of 65,536 float64 samples
+    SLACK = 2**18  # bytes: two chunks of 16,384 float64 samples
 
     @staticmethod
     def _peak(tmp_path, samples: int) -> int:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -487,6 +489,40 @@ class TestCharFnBoundedMemory:
         small = self._peak(x, narrow)
         large = self._peak(x, wide)
         assert large <= small + result_growth + self.SLACK, (small, large)
+
+
+class TestCharFnThreads:
+    """Each thread keeps its own blocks: threads that compute different CFs
+    at the same time each get the CF they get alone."""
+
+    ROUNDS = 20
+
+    def test_concurrent_calls_equal_serial_ones(self):
+        grids = [np.linspace(-5.0, 5.0, 101), np.linspace(-2.0, 7.0, 40),
+                 np.linspace(-1.0, 2.0, 2), np.linspace(-5.0, 5.0, 201)]
+        xs = [sample_laplace(LaplaceDist(1.0 + i), RngHandle(14, i), size=8 * CF_BLOCK + i)
+              for i in range(len(grids))]
+        serial = [empirical_char_fn(x, grid).tobytes() for x, grid in zip(xs, grids)]
+        got = [[] for _ in grids]
+        start = threading.Barrier(len(grids))
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(self.ROUNDS):
+                got[i].append(empirical_char_fn(xs[i], grids[i]).tobytes())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[cf] * self.ROUNDS for cf in serial]
 
 
 class TestChunkedDraws:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,8 +194,8 @@ class TestEmpiricalMatchingChunks:
 
     def test_one_chunk_is_the_cf_of_the_array(self):
         pr = pair(REF, False)  # unit gains: the lhs and rhs are the two CFs as they are
-        report = check_matching_empirical(pr, OMEGA, 50_000, RngHandle(32))
-        src, noise = _one_shot(pr, 50_000, RngHandle(32))
+        report = check_matching_empirical(pr, OMEGA, SAMPLE_CHUNK, RngHandle(32))
+        src, noise = _one_shot(pr, SAMPLE_CHUNK, RngHandle(32))
         assert report.lhs.tobytes() == empirical_char_fn(src, OMEGA).tobytes()
         assert report.rhs.tobytes() == empirical_char_fn(noise, OMEGA).tobytes()
         assert _mean_cf([src], OMEGA).tobytes() == empirical_char_fn(src, OMEGA).tobytes()
@@ -211,6 +213,44 @@ class TestEmpiricalMatchingChunks:
         x = sample_gamma(GammaDist(2.0, 1.0), RngHandle(34), size=12_000)
         ragged = _mean_cf([x[:4_000], x[4_000:5_000], x[5_000:]], OMEGA)
         np.testing.assert_allclose(ragged, empirical_char_fn(x, OMEGA), rtol=0.0, atol=1e-14)
+
+
+class TestEmpiricalMatchingMemory:
+    def test_a_warm_run_holds_one_chunk_and_no_cf_blocks(self):
+        # the CF keeps its baby, giant and leap rows (544 KiB) from the first
+        # run, and a chunk is dropped before the next is drawn, so a warm
+        # run's peak is one chunk and a few small arrays
+        two_chunks = 2 * SAMPLE_CHUNK * 8  # bytes
+
+        def peak():
+            tracemalloc.start()
+            try:
+                check_matching_empirical(pair(REF, True), OMEGA, 2**20, RngHandle(36))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # the first run makes the rows
+        warm = peak()
+        assert warm < two_chunks, warm
+
+
+class TestEmpiricalModulusFloor:
+    """With k = 5 the noise CF modulus (1 + w²)^(-5/2) lies between 3e-3 and
+    6e-3 at 2.6 <= |w| <= 3.0 on the default grid, and falls below 1e-3 from
+    |w| of about 3.85."""
+
+    def test_points_are_unreliable_exactly_below_1e_3(self):
+        pr = pair(SystemParams(lam=1.0, k=5.0, p_t=1.0, c=1.0), True)
+        report = check_matching_empirical(pr, OMEGA, 10**6, RngHandle(35))
+        band = (np.abs(OMEGA) > 2.55) & (np.abs(OMEGA) < 3.05)
+        assert np.count_nonzero(band) == 10
+        analytic = np.abs(char_fn(pr.noise, OMEGA[band]))
+        assert ((analytic > 3e-3) & (analytic < 6e-3)).all()
+        assert report.reliable[band].all()
+        _, noise = _one_shot(pr, 10**6, RngHandle(35))
+        modulus = np.abs(empirical_char_fn(noise, OMEGA))
+        assert np.count_nonzero(~report.reliable) == np.count_nonzero(modulus < 1e-3) > 0
 
 
 class TestCenteredCfs:

@@ -273,6 +273,13 @@ class TestStationarity:
         assert not report.passed
         assert report.max_pairwise_z > 4.0
 
+    def test_a_max_z_between_4_and_6_fails(self):
+        # the switch of the counterexample, on 1% of its episodes
+        switched = SwitchedThreshold(REF, BETA_STAR, switch_stage=5)
+        report = stationarity_check(REF, switched, 10, 200, RngHandle(2025, 7))
+        assert 4.5 <= report.max_pairwise_z <= 5.5
+        assert not report.passed
+
     @pytest.mark.parametrize("horizon", [10, 600])
     def test_max_z_equals_full_pairwise_formula(self, horizon):
         # 600 stages take several row blocks of the pairwise scan
