@@ -1,7 +1,8 @@
 """Closed-form expected stage cost of a threshold policy with the matched
 affine coder, its derivative in the threshold, the optimal threshold
-sqrt(c + m), and a golden-section minimizer used as an independent numerical
-cross-check.  The ``sweep`` command evaluates them over a parameter grid.
+sqrt(c + m), and a golden-section minimizer in z = lam·beta used as an
+independent numerical cross-check.  The ``optimize`` and ``sweep`` commands
+evaluate them.
 """
 
 from __future__ import annotations
@@ -49,30 +50,19 @@ def cost_closed_form(p: SystemParams, beta: float) -> CostBreakdown:
 
     and a transmission occurs with probability e^(-lam·beta), costing c + m.
     The antiderivative is verified against adaptive quadrature in the tests.
-    Where beta² or 2·beta/lam is beyond the float range, the tail is computed
-    in z = lam·beta, and it is 0 once e^(-z) underflows: the cost is 2/lam².
+    The tail is computed in z = lam·beta, so beta² and 2·beta/lam never leave
+    the float range, and it is 0 once e^(-z) underflows: the cost is 2/lam².
     """
     if not math.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    return CostBreakdown(*_cost_terms(p.lam, p.c, p.m, beta))
-
-
-def _cost_terms(lam: float, c: float, m: float, beta: float):
-    """(total, comm, est_no_tx, est_tx, tx_prob) of :func:`cost_closed_form`
-    at a valid ``beta``; ``numeric_argmin`` reads the total of each probe
-    from here without building a CostBreakdown."""
-    tx_prob = math.exp(-lam * beta)
-    try:
-        tail = tx_prob * (beta**2 + 2.0 * beta / lam + 2.0 / lam**2)
-    except OverflowError:
-        tail = math.inf
-    if not math.isfinite(tail):  # beta² or 2·beta/lam beyond the float range
-        z = lam * beta
-        tail = tx_prob and tx_prob * (z * z + 2.0 * z + 2.0) / lam**2
+    lam = p.lam
+    z = lam * beta
+    tx_prob = math.exp(-z)
+    tail = tx_prob and tx_prob * (z * z + 2.0 * z + 2.0) / lam**2
+    comm = p.c * tx_prob
+    est_tx = p.m * tx_prob
     est_no_tx = 2.0 / lam**2 - tail
-    comm = c * tx_prob
-    est_tx = m * tx_prob
-    return est_no_tx + comm + est_tx, comm, est_no_tx, est_tx, tx_prob
+    return CostBreakdown(est_no_tx + comm + est_tx, comm, est_no_tx, est_tx, tx_prob)
 
 
 def cost_derivative(p: SystemParams, beta: float) -> float:
@@ -95,25 +85,30 @@ def optimal_threshold(p: SystemParams) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-# The golden-section search starts from the bracket [0, ARGMIN_START] and
-# stops when the bracket is narrower than ARGMIN_TOL.
+# The golden-section search in z = lam·beta starts from the bracket
+# [0, ARGMIN_START] and stops when the bracket is narrower than ARGMIN_TOL.
 ARGMIN_START = 10.0
 ARGMIN_TOL = 1e-8
 
 
 def numeric_argmin(p: SystemParams) -> float:
-    """Golden-section minimizer of the closed-form cost over [0, hi].
+    """Golden-section minimizer of the closed-form cost, searched in
+    z = lam·beta and returned as z/lam.
 
-    Deliberately independent of :func:`cost_derivative` and of the sqrt(c+m)
-    formula, so it can serve as an oracle for both.  The bracket is found
-    from the cost alone: ``hi`` starts at ARGMIN_START and doubles while
-    J(hi) < J(hi/2).  The cost is unimodal on (0, inf), so the minimizer then
-    lies below ``hi``; a cost flat in float64 stops the doubling too.
+    Its objective is lam²·J less its constant 2, e^(-z)·(lam²·(c + m) - z²
+    - 2·z - 2): beside 2 the dip of the cost would be lost to rounding once
+    e^(-z) is small.  Deliberately independent of :func:`cost_derivative`
+    and of the sqrt(c+m) formula, so it can serve as an oracle for both.
+    The bracket is found from the objective alone: ``hi`` starts at
+    ARGMIN_START and doubles while f(hi) < f(hi/2).  The objective is
+    unimodal on (0, inf), so the minimizer then lies below ``hi``; an
+    objective flat in float64 stops the doubling too.
     """
-    lam, c, m = p.lam, p.c, p.m
+    lam = p.lam
+    tx_cost = lam**2 * (p.c + p.m)  # a transmission's cost in units of 1/lam²
 
-    def objective(b: float) -> float:
-        return _cost_terms(lam, c, m, b)[0]
+    def objective(z: float) -> float:
+        return math.exp(-z) * (tx_cost - z * z - 2.0 * z - 2.0)
 
     hi = ARGMIN_START
     while objective(hi) < objective(hi / 2.0):
@@ -133,5 +128,4 @@ def numeric_argmin(p: SystemParams) -> float:
             dist *= _INV_PHI
             d_pt = a + _INV_PHI * dist
             yd = objective(d_pt)
-    return 0.5 * (a + d_pt) if yc < yd else 0.5 * (c_pt + b)
-
+    return (0.5 * (a + d_pt) if yc < yd else 0.5 * (c_pt + b)) / lam

@@ -23,7 +23,7 @@ import numpy as np
 from . import analytics, matching, simulator, strategies
 # cli draws nothing itself; bench/test_smoke.py's
 # test_patch_reaches_names_imported_elsewhere reads sample_gamma here
-from .distributions import KEY_LIMIT, RngHandle, sample_gamma, uniform_grid  # noqa: F401
+from .distributions import KEY_LIMIT, RngHandle, sample_gamma  # noqa: F401
 from .strategies import SystemParams
 
 SCHEMA_VERSION = 1
@@ -193,15 +193,17 @@ def load_config(path: str, command: str, overrides: dict) -> dict:
         if not math.isfinite(reach * reach):
             _fail(key, "small enough that (|omega| * max(alpha, theta, k*theta, 1/lambda))^2 "
                   "is finite", cfg[key])
-        # the empirical CFs take the grid, and alpha times it, as uniform grids
-        omega = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"])
-        alpha = matching.pair(p, cfg["pair"] == "matched").alpha
-        for grid in (omega, alpha * omega):
-            try:
-                uniform_grid(grid)
-            except ValueError:
-                _fail("omega_points", "small enough that the grid, and alpha times it, have "
-                      "every step within 1e-12 of the first", cfg["omega_points"])
+        # the matched pair's gamma-th power follows its branch from the grid
+        # point nearest 0, and the phase of its centred noise CF turns by less
+        # than k*theta per unit of omega
+        if cfg["pair"] == "matched":
+            if not cfg["omega_min"] <= 0.0 <= cfg["omega_max"]:
+                key = "omega_min" if cfg["omega_min"] > 0.0 else "omega_max"
+                _fail(key, "such that omega_min <= 0 <= omega_max for the matched pair", cfg[key])
+            step = (cfg["omega_max"] - cfg["omega_min"]) / (cfg["omega_points"] - 1)
+            if not p.k * p.theta * step < math.pi:
+                _fail("omega_points", f"large enough that k*theta*step < pi for the matched "
+                      f"pair (k*theta = {p.k * p.theta!r})", cfg["omega_points"])
     return cfg
 
 
@@ -317,16 +319,22 @@ def cmd_simulate(cfg: dict) -> dict:
     return _report("simulate", cfg, checks, derived={**_derived_block(p), "beta": beta})
 
 
+def _threshold_row(p: SystemParams, horizon: int, episodes: int, rng: RngHandle | None):
+    """beta* by formula and by numeric argmin, J at the formula's beta*, and
+    a Monte Carlo estimate of that J from ``rng``, None without one."""
+    formula = analytics.optimal_threshold(p)
+    j_formula = analytics.cost_closed_form(p, formula).total
+    mc = None if rng is None else simulator.estimate_cost(
+        p, strategies.ThresholdAffineStrategy(p, formula), horizon, episodes, rng)
+    return formula, analytics.numeric_argmin(p), j_formula, mc
+
+
 def cmd_optimize(cfg: dict) -> dict:
     """optimal threshold: formula vs golden-section argmin vs Monte Carlo"""
     p = _params(cfg)
-    formula = analytics.optimal_threshold(p)
-    numeric = analytics.numeric_argmin(p)
-    j_formula = analytics.cost_closed_form(p, formula).total
-    j_numeric = analytics.cost_closed_form(p, numeric).total
-    strat = strategies.ThresholdAffineStrategy(p, formula)
     rng = RngHandle(cfg["seed"], cfg["stream"])
-    mc = simulator.estimate_cost(p, strat, cfg["horizon"], cfg["episodes"], rng)
+    formula, numeric, j_formula, mc = _threshold_row(p, cfg["horizon"], cfg["episodes"], rng)
+    j_numeric = analytics.cost_closed_form(p, numeric).total
 
     checks = [_argmin_check("argmin_agreement", abs(numeric - formula)),
               _mc_check("mc_cost_covers_closed_form", mc, j_formula)]
@@ -352,13 +360,13 @@ def _cf_block(report: matching.CfResidualReport) -> dict:
 def cmd_verify_matching(cfg: dict) -> dict:
     """analytic and empirical characteristic-function residuals"""
     p = _params(cfg)
-    omega = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["omega_points"])
+    grid = (cfg["omega_min"], cfg["omega_max"], cfg["omega_points"])
     matched = cfg["pair"] == "matched"
     pair = matching.pair(p, matched)
     rng = RngHandle(cfg["seed"], cfg["stream"])
     reports = {
-        "analytic": matching.check_matching(pair, omega),
-        "empirical": matching.check_matching_empirical(pair, omega, cfg["samples"], rng),
+        "analytic": matching.check_matching(pair, grid),
+        "empirical": matching.check_matching_empirical(pair, grid, cfg["samples"], rng),
     }
     tolerances = ({"analytic": ANALYTIC_RESIDUAL_TOL, "empirical": EMPIRICAL_RESIDUAL_TOL}
                   if matched else
@@ -380,14 +388,11 @@ def cmd_sweep(cfg: dict) -> dict:
     rows = []
     # the rows in the nested order lambda > k > P_T > c
     for i, point in enumerate(itertools.product(*grids)):
-        p = SystemParams(*point)
-        formula = analytics.optimal_threshold(p)
-        j_formula = analytics.cost_closed_form(p, formula).total
-        row = dict(zip(_SWEEP_COLUMNS, (*point, formula, analytics.numeric_argmin(p), j_formula)))
-        if cfg["spot_check"]:
-            strat = strategies.ThresholdAffineStrategy(p, formula)
-            rng = RngHandle(cfg["seed"], cfg["stream"], (i,))
-            mc = simulator.estimate_cost(p, strat, cfg["spot_horizon"], cfg["spot_episodes"], rng)
+        rng = RngHandle(cfg["seed"], cfg["stream"], (i,)) if cfg["spot_check"] else None
+        formula, numeric, j_formula, mc = _threshold_row(SystemParams(*point), cfg["spot_horizon"],
+                                                         cfg["spot_episodes"], rng)
+        row = dict(zip(_SWEEP_COLUMNS, (*point, formula, numeric, j_formula)))
+        if mc is not None:
             row.update(zip(_SPOT_COLUMNS, (mc.mean, mc.std_error, mc.covers(j_formula, SIGMAS))))
         rows.append(row)
 

@@ -1,6 +1,7 @@
 """Samplers, moments, and characteristic functions for the three
 distribution families used by the estimation pipeline: Laplace sources,
-exponential tails, and gamma channel noise.  All randomness flows through
+exponential tails, and gamma channel noise, and the empirical
+characteristic function on a linspace grid.  All randomness flows through
 :class:`RngHandle` so every experiment is reproducible bit for bit.
 """
 
@@ -20,7 +21,6 @@ __all__ = [
     "sample_exponential",
     "sample_gamma",
     "char_fn",
-    "uniform_grid",
     "empirical_char_fn",
 ]
 
@@ -291,49 +291,35 @@ def _uniform_cf_sums(x, start, step, sums):
             seg += (g[:rows] @ b.T).ravel()[:seg.size]
 
 
-def uniform_grid(omega) -> tuple[np.ndarray, int]:
-    """``omega`` as a float array, and how many of its leading points are the
-    negatives of trailing ones: len//2 when the grid is symmetric about 0
-    and has at least 3 points, else 0.
-
-    Raises ValueError unless ``omega`` is a finite 1-D grid of at least 2
-    points that is uniform, ascending or descending: every step within
-    1e-12·|first step| of the first.  A grid is symmetric when every
-    |w + w[::-1]| is at most 1e-12·|w[-1] - w[0]|.  Both rules sit far below
-    sampling noise, and linspace grids hold them only to the ulp.
-    """
-    w = np.asarray(omega, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2 or not np.isfinite(w).all():
-        raise ValueError(f"omega must be a finite 1-D grid of at least 2 points, got {omega!r}")
-    step = w[1] - w[0]
-    if (np.abs(np.diff(w) - step) > 1e-12 * np.abs(step)).any():
-        raise ValueError(f"omega must be a uniform grid, got {w!r}")
-    symmetric = w.size > 2 and (np.abs(w + w[::-1]) <= 1e-12 * np.abs(w[-1] - w[0])).all()
-    return w, w.size // 2 if symmetric else 0
-
-
-def empirical_char_fn(samples, omega) -> np.ndarray:
+def empirical_char_fn(samples, start: float, stop: float, points: int) -> np.ndarray:
     """Sample characteristic function (1/N)·sum exp(j·w·x_i) on the grid
-    ``omega``, which must pass :func:`uniform_grid`.
+    ``np.linspace(start, stop, points)``.  Point p is evaluated at
+    w_0 + p·h, where w_0 and h are linspace's first point and step, so each
+    point is within about one ulp of max|w| of linspace's.  Raises
+    ValueError unless ``start`` and ``stop`` are finite and ``points`` is at
+    least 2.
 
     The samples are cut into blocks of ``CF_BLOCK``; each block adds its
     partial sums for every grid point with baby and giant phase rotations
     and one complex matrix product (see :func:`_uniform_cf_sums`).  The
     blocks are this thread's 544 KiB, kept from one call to the next, so
     the working set does not grow with the sample count or grid size, and
-    a call on a few blocks pays for no fresh pages.  When the grid is
-    symmetric about 0, only the half from the middle point on is computed
-    and the other half is its conjugate: phi(-w) = conj(phi(w)) for real
-    samples.
+    a call on a few blocks pays for no fresh pages.  When ``start ==
+    -stop`` and there are at least 3 points, only the half from linspace's
+    middle point on is computed and the other half is its conjugate:
+    phi(-w) = conj(phi(w)) for real samples.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("empirical_char_fn requires at least one sample")
-    w, half = uniform_grid(omega)
-    pts = w[half:]
-    out = np.zeros(w.size, dtype=np.complex128)
+    if not np.isfinite((start, stop)).all() or points < 2:
+        raise ValueError(f"the grid needs finite ends and at least 2 points, "
+                         f"got start={start!r}, stop={stop!r}, points={points!r}")
+    half = points // 2 if points > 2 and start == -stop else 0
+    first = half * ((stop - start) / (points - 1)) + start  # linspace's point `half`
+    out = np.zeros(points, dtype=np.complex128)
     sums = out[half:]
-    _uniform_cf_sums(x, pts[0], (pts[-1] - pts[0]) / (pts.size - 1), sums)
+    _uniform_cf_sums(x, first, (stop - first) / (sums.size - 1), sums)
     sums /= x.size
     np.conjugate(out[::-1][:half], out=out[:half])
     return out

@@ -4,8 +4,9 @@ The affine coder is exactly optimal when the source CF evaluated at
 alpha·omega equals the gamma-th power of the noise CF.  :func:`pair` builds
 the two pairs of laws the program checks: the matched pair of the system
 parameters and a deliberately unmatched one.  This module verifies the
-identity on an omega grid, both with the analytic CFs and with empirical
-CFs of samples it draws, and reports per-point complex residuals.
+identity on the grid ``np.linspace(start, stop, points)``, given as that
+triple, both with the analytic CFs and with empirical CFs of samples it
+draws, and reports per-point complex residuals.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def pair(params: SystemParams, matched: bool) -> Pair:
 
 @dataclass(frozen=True, eq=False)
 class CfResidualReport:
-    """Residuals on the grid sorted by omega, one array entry per point:
+    """Residuals on the ascending grid ``omega``, one array entry per point:
     ``lhs`` and ``rhs`` complex, ``residual`` float, ``reliable`` bool.  A
     point is unreliable where the noise CF modulus was zero (analytic check)
     or below the empirical floor; its ``rhs`` and residual are then NaN and
@@ -109,10 +110,13 @@ def _continuous_power(values: np.ndarray, exponent: float, usable: np.ndarray,
 
     A CF of a mean-shifted variable carries a linear phase that can wind past
     +-pi, where the principal logarithm jumps by 2·pi and exp(g·Log z) lands
-    on the wrong branch.  Unwrapping the phase along the (sorted) grid and
-    anchoring at the point nearest omega = 0, where the principal argument is
-    the continuous one, restores the branch on which CF(0)^g = 1.  Exponent 1
-    is returned unchanged so identity checks are exact.
+    on the wrong branch.  Unwrapping the phase along the grid and anchoring
+    at the point nearest omega = 0, where the principal argument is the
+    continuous one, restores the branch on which CF(0)^g = 1.  That holds
+    when the grid spans 0 and no step turns the phase by pi or more (for the
+    matched pair, k·theta·step < pi), which ``cli.load_config`` requires of
+    the matched pair's grid.  Exponent 1 is returned unchanged so identity
+    checks are exact.
     """
     out = np.full(values.shape, complex(np.nan, np.nan), dtype=np.complex128)
     idx = np.flatnonzero(usable)
@@ -134,37 +138,45 @@ def _continuous_power(values: np.ndarray, exponent: float, usable: np.ndarray,
 
 def _build_report(omega: np.ndarray, lhs: np.ndarray, noise: np.ndarray, gamma: float,
                   reliable: np.ndarray) -> CfResidualReport:
-    """``lhs`` against ``noise``^gamma on the sorted grid ``omega``."""
+    """``lhs`` against ``noise``^gamma on the ascending grid ``omega``."""
     rhs = _continuous_power(noise, gamma, reliable, int(np.argmin(np.abs(omega))))
     residual = np.where(reliable, np.abs(lhs - rhs), np.nan)
     top = float(np.max(residual[reliable])) if reliable.any() else float("nan")
     return CfResidualReport(omega, lhs, rhs, residual, reliable, top)
 
 
-def check_matching(pair: Pair, omega) -> CfResidualReport:
-    """Compare the source CF at alpha·w against the noise CF at w to the
-    power gamma, at every point w of the grid ``omega``.
+def _linspace(grid) -> np.ndarray:
+    """The points of ``grid`` = (start, stop, points), with start < stop."""
+    if not grid[0] < grid[1]:
+        raise ValueError(f"the grid needs start < stop, got {grid!r}")
+    return np.linspace(*grid)
 
-    Pure function of its arguments; records are sorted by omega, so
-    reordering the grid cannot change the report.  Grid points where the
-    noise CF vanishes have no well-defined power and are reported unreliable.
+
+def check_matching(pair: Pair, grid) -> CfResidualReport:
+    """Compare the source CF at alpha·w against the noise CF at w to the
+    power gamma, at every point w of ``np.linspace(*grid)``, where ``grid``
+    is (start, stop, points) with start < stop.
+
+    Pure function of its arguments.  Grid points where the noise CF
+    vanishes have no well-defined power and are reported unreliable.
     """
-    omega = np.sort(np.asarray(omega, dtype=np.float64), kind="stable")
+    omega = _linspace(grid)
     lhs = _cf(pair.source, pair.alpha * omega, pair.centered)
     noise = _cf(pair.noise, omega, pair.centered)
     return _build_report(omega, lhs, noise, pair.gamma, np.abs(noise) > 0.0)
 
 
-def _mean_cf(chunks, omega: np.ndarray) -> np.ndarray:
-    """Empirical CF at ``omega`` over an iterable of 1-D sample chunks: one
-    :func:`empirical_char_fn` call per chunk, folded as a running mean
+def _mean_cf(chunks, grid) -> np.ndarray:
+    """Empirical CF on ``grid`` = (start, stop, points) over an iterable of
+    1-D sample chunks: one :func:`empirical_char_fn` call per chunk, folded
+    as a running mean
     acc += (phi - acc)·m/n.  The first chunk's CF is taken as is, so a
     single chunk gives exactly the CF of its array, and more chunks the CF
     of their concatenation up to roundoff."""
     acc, n = None, 0
     for x in chunks:
         n += x.size
-        phi = empirical_char_fn(x, omega)
+        phi = empirical_char_fn(x, *grid)
         if acc is None:
             acc = phi
         else:
@@ -185,10 +197,10 @@ def _draws(dist, samples: int, rng: RngHandle, centered: bool):
         del x  # as in _mean_cf
 
 
-def check_matching_empirical(pair: Pair, omega, samples: int, rng: RngHandle) -> CfResidualReport:
+def check_matching_empirical(pair: Pair, grid, samples: int, rng: RngHandle) -> CfResidualReport:
     """Sampling-based version of :func:`check_matching`, on ``samples``
-    draws per side from ``rng``.  ``omega``, and alpha times it, must be
-    grids that :func:`~remest.distributions.uniform_grid` accepts.
+    draws per side from ``rng``.  The source CF is taken on the grid
+    (alpha·start, alpha·stop, points).
 
     Each side is drawn lazily, SAMPLE_CHUNK samples at a time, and every
     source chunk is drawn before the first noise chunk: the draws are
@@ -209,8 +221,9 @@ def check_matching_empirical(pair: Pair, omega, samples: int, rng: RngHandle) ->
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per side, got {samples}")
-    omega = np.sort(np.asarray(omega, dtype=np.float64), kind="stable")
-    lhs = _mean_cf(_draws(pair.source, samples, rng, pair.centered), pair.alpha * omega)
-    noise = _mean_cf(_draws(pair.noise, samples, rng, pair.centered), omega)
+    omega = _linspace(grid)
+    source_grid = (pair.alpha * grid[0], pair.alpha * grid[1], grid[2])
+    lhs = _mean_cf(_draws(pair.source, samples, rng, pair.centered), source_grid)
+    noise = _mean_cf(_draws(pair.noise, samples, rng, pair.centered), grid)
     return _build_report(omega, lhs, noise, pair.gamma, np.abs(noise) >= EMPIRICAL_MODULUS_FLOOR)
 

@@ -49,9 +49,9 @@ def _report(num, name, passed, detail):
 
 def test_criterion_01_matching_condition():
     start = time.monotonic()
-    omega = np.linspace(-5.0, 5.0, 101)
-    analytic = check_matching(pair(REF, True), omega)
-    empirical = check_matching_empirical(pair(REF, True), omega, 10**6, RngHandle(20240, 0))
+    grid = (-5.0, 5.0, 101)
+    analytic = check_matching(pair(REF, True), grid)
+    empirical = check_matching_empirical(pair(REF, True), grid, 10**6, RngHandle(20240, 0))
     elapsed = time.monotonic() - start
 
     passed = (

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from remest.analytics import (
+    ARGMIN_START,
     cost_closed_form,
     cost_derivative,
     numeric_argmin,
@@ -156,8 +158,21 @@ class TestNumericArgmin:
         assert hi > lo
 
     def test_finds_a_minimizer_beyond_the_first_bracket(self):
-        p = SystemParams(lam=0.05, k=2.0, p_t=1.0, c=1.0)  # beta* = 16.36
-        assert abs(numeric_argmin(p) - optimal_threshold(p)) < 1e-6
+        # the search runs in z = lam·beta from [0, ARGMIN_START]
+        for p in (SystemParams(lam=1.0, k=2.0, p_t=1.0, c=200.0),  # z* = 14.17
+                  SystemParams(lam=0.05, k=2.0, p_t=1.0, c=1.0e5)):  # z* = 15.83
+            assert p.lam * optimal_threshold(p) > ARGMIN_START
+            assert abs(numeric_argmin(p) - optimal_threshold(p)) < 1e-6
+
+    def test_agrees_where_the_cost_dips_little_below_its_plateau(self):
+        # J = 2/lam² less a dip of order e^(-lam·beta*), lost to rounding
+        # beside 2/lam² at large lam or c; 82 of these 196 models failed, by
+        # up to 21.6, when the search read J itself
+        for lam, k, c in itertools.product((0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 12.0),
+                                           (0.5, 1.0, 2.0, 5.0),
+                                           (2.0**-8, 0.1, 1.0, 10.0, 100.0, 200.0, 1000.0)):
+            p = SystemParams(lam=lam, k=k, p_t=1.0, c=c)
+            assert abs(numeric_argmin(p) - optimal_threshold(p)) < 1e-6, (lam, k, c)
 
     @pytest.mark.parametrize("params", [
         (1.1e-154, 1.0, 1.0, 1.0),

@@ -225,25 +225,62 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("fields", [
-        {"omega_min": 100.0, "omega_max": 101.0},  # steps 1.4e-12 of a step apart
         {"omega_min": 0.0, "omega_points": 10_000},
         {"lambda": 1.7, "omega_min": -1e-3, "omega_points": 5_000},  # alpha*omega is not
     ])
-    def test_grid_the_empirical_cf_cannot_step_is_config_error(self, tmp_path, capsys, fields):
+    def test_linspace_grids_with_uneven_rounded_steps_run(self, tmp_path, fields):
+        # steps of these linspace grids differ by more than 1e-12 of a step
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", samples=10_000, out=str(out), **fields)
+        assert main(["verify-matching", "--config", str(cfg)]) in (0, 1)
+        report = json.loads(out.read_text())
+        assert report["analytic"]["n_points"] == fields["omega_points"]
+        assert report["analytic"]["max_residual"] < 1e-12
+
+    # the analytic residuals these grids give without the guard: 0.632, 0.199,
+    # 0.632 and 0.392 (k*theta = 2)
+    @pytest.mark.parametrize("fields, key", [
+        ({"omega_min": 3.0, "omega_points": 5}, "omega_min"),
+        ({"omega_min": 10.0, "omega_max": 12.0, "omega_points": 5}, "omega_min"),
+        ({"omega_min": -5.0, "omega_max": -3.0, "omega_points": 5}, "omega_max"),
+        ({"omega_points": 3}, "omega_points"),
+        ({"omega_points": 5}, "omega_points"),
+        ({"omega_points": 7}, "omega_points"),
+        ({"omega_min": 100.0, "omega_max": 101.0}, "omega_min"),
+    ])
+    def test_grid_off_the_matched_pairs_branch_is_config_error(self, tmp_path, capsys,
+                                                               fields, key):
         out = tmp_path / "r.json"
         cfg = write_config(tmp_path / "cfg.json", samples=10_000, out=str(out), **fields)
         assert main(["verify-matching", "--config", str(cfg)]) == 2
-        assert "'omega_points'" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"omega_points": 8},  # k*theta*step = 2.86 < pi
+        {"omega_points": 101},  # the default grid
+        {"omega_min": 0.0},  # 0 at the grid's end
+        {"pair": "unmatched", "omega_points": 3},  # gamma = 1: no branch to follow
+        {"pair": "unmatched", "omega_min": 3.0, "omega_points": 5},
+    ])
+    def test_grid_on_the_matched_pairs_branch_runs(self, tmp_path, fields):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", samples=10_000, out=str(out), **fields)
+        assert main(["verify-matching", "--config", str(cfg)]) in (0, 1)
+        analytic = json.loads(out.read_text())["analytic"]
+        assert analytic["n_points"] == fields.get("omega_points", 101)
+        if "pair" not in fields:
+            assert analytic["max_residual"] < 1e-12
 
     @pytest.mark.parametrize("fields", [
         {},
         {"pair": "unmatched"},
-        {"lambda": 4.0, "omega_min": 0.0, "omega_max": 3e153},
+        # the reach uses the model's alpha whatever the pair; the matched pair
+        # would need a finer grid than these (see the branch guard above)
+        {"pair": "unmatched", "lambda": 4.0, "omega_min": 0.0, "omega_max": 3e153},
         {"pair": "unmatched", "omega_min": -5e153, "omega_max": 0.0},
-        # grids the empirical CF can step
-        {"omega_points": 2},
-        {"omega_min": 100.0, "omega_max": 101.0, "omega_points": 11},
+        {"pair": "unmatched", "omega_points": 2},
+        {"pair": "unmatched", "omega_min": 100.0, "omega_max": 101.0, "omega_points": 11},
         {"pair": "unmatched", "lambda": 1.7, "omega_min": -1e-3, "omega_points": 5_000},
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -486,10 +523,22 @@ class TestOptimize:
         )
 
     def test_minimizer_beyond_the_first_bracket(self, tmp_path):
-        # beta* = 16.36, outside [0, 10], where the search starts
+        # z* = lam·beta* = 14.17, outside [0, 10], where the search in z starts
         cfg = write_config(tmp_path / "cfg.json", horizon=2_000, episodes=20,
-                           out=str(tmp_path / "opt.json"), **{"lambda": 0.05})
+                           out=str(tmp_path / "opt.json"), c=200.0)
         assert main(["optimize", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("lam, c", [(16.0, 2.0**-8), (12.0, 1.0), (10.0, 10.0),
+                                        (1.0, 1000.0)])
+    def test_argmin_agrees_where_the_cost_dips_little_below_its_plateau(self, tmp_path, lam, c):
+        # J = 2/lam² less a dip of order e^(-lam·beta*), which rounding lost
+        # when the search read J itself
+        out = tmp_path / "opt.json"
+        cfg = write_config(tmp_path / "cfg.json", horizon=2_000, episodes=20, out=str(out),
+                           **{"lambda": lam, "c": c})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        report = json.loads(out.read_text())
+        assert abs(report["beta_star_numeric"] - report["beta_star_formula"]) < 1e-6
 
     def test_csv_fields(self, tmp_path):
         out = tmp_path / "opt.csv"
@@ -662,9 +711,10 @@ class TestSweep:
             "argmin_agreement_all_rows": True, "mc_spot_checks": False}
 
     def test_minimizers_beyond_the_first_bracket(self, tmp_path):
-        # beta* runs from 11.55 to 18.53 over the default k, p_t and c grids
+        # the search runs in z = lam·beta from [0, 10]; z* = lam·beta* runs
+        # from 12.26 to 40.01 over these grids
         cfg = write_config(tmp_path / "cfg.json", out=str(tmp_path / "sweep.json"),
-                           lambda_grid=[0.05])
+                           lambda_grid=[1.0, 2.0], c_grid=[150.0, 200.0, 400.0])
         assert main(["sweep", "--config", str(cfg)]) == 0
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
