@@ -285,12 +285,6 @@ class TestEmpiricalCharFn:
         with pytest.raises(ValueError):
             empirical_char_fn([], -1.0, 1.0, 3)
 
-    @pytest.mark.parametrize("grid", [(-1.0, np.inf, 3), (np.nan, 1.0, 3), (-1.0, 1.0, 1)],
-                             ids=["inf", "nan", "one-point"])
-    def test_rejects_a_grid_with_non_finite_ends_or_one_point(self, grid):
-        with pytest.raises(ValueError, match="finite ends and at least 2 points"):
-            empirical_char_fn(np.ones(5), *grid)
-
     def test_gamma_draws_close_to_analytic(self):
         d = GammaDist(2.0, 1.0)
         x = sample_gamma(d, RngHandle(2024, 10), size=N)
@@ -320,6 +314,17 @@ class TestEmpiricalCharFn:
         grid = np.linspace(-5.0, 5.0, 51)
         gap = np.abs(empirical_char_fn(x, -5.0, 5.0, 51) - char_fn(dist, grid))
         assert gap.max() <= 5.0 / np.sqrt(N)
+
+
+class TestGridRules:
+    """The empirical CF takes the grid np.linspace(start, stop, points) with
+    finite ends and at least 2 points."""
+
+    @pytest.mark.parametrize("grid", [(-1.0, np.inf, 3), (np.nan, 1.0, 3), (-1.0, 1.0, 1)],
+                             ids=["inf", "nan", "one-point"])
+    def test_rejects_what_is_not_a_uniform_grid(self, grid):
+        with pytest.raises(ValueError, match="finite ends and at least 2 points"):
+            empirical_char_fn(np.ones(5), *grid)
 
 
 def _direct_cf(x, omega):
