@@ -95,37 +95,40 @@ def numeric_argmin(p: SystemParams) -> float:
     """Golden-section minimizer of the closed-form cost, searched in
     z = lam·beta and returned as z/lam.
 
-    Its objective is lam²·J less its constant 2, e^(-z)·(lam²·(c + m) - z²
-    - 2·z - 2): beside 2 the dip of the cost would be lost to rounding once
-    e^(-z) is small.  Deliberately independent of :func:`cost_derivative`
-    and of the sqrt(c+m) formula, so it can serve as an oracle for both.
-    The bracket is found from the objective alone: ``hi`` starts at
-    ARGMIN_START and doubles while f(hi) < f(hi/2).  The objective is
-    unimodal on (0, inf), so the minimizer then lies below ``hi``; an
-    objective flat in float64 stops the doubling too.
+    Its objective is lam²·J less its constant 2, f(z) = e^(-z)·P(z) with
+    P(z) = lam²·(c + m) - z² - 2·z - 2: beside 2 the dip of the cost would
+    be lost to rounding.  Two values of f are compared by the signs of P and
+    log(f(z1)/f(z2)) = log1p((P(z1) - P(z2))/P(z2)) + z2 - z1, which neither
+    underflows with e^(-z) nor cancels with P near a large minimizer.
+    Deliberately independent of :func:`cost_derivative` and of the
+    sqrt(c+m) formula, so it can serve as an oracle for both.  ``hi`` starts
+    at ARGMIN_START and doubles while f(hi) < f(hi/2); f is unimodal on
+    (0, inf), so the minimizer then lies below ``hi``.
     """
     lam = p.lam
-    tx_cost = lam**2 * (p.c + p.m)  # a transmission's cost in units of 1/lam²
+    tx_cost = float(lam**2 * (p.c + p.m))  # a transmission's cost in units of 1/lam²
 
-    def objective(z: float) -> float:
-        return math.exp(-z) * (tx_cost - z * z - 2.0 * z - 2.0)
+    def below(z1: float, z2: float) -> bool:  # f(z1) < f(z2)
+        p1, p2 = tx_cost - z1 * z1 - 2.0 * z1 - 2.0, tx_cost - z2 * z2 - 2.0 * z2 - 2.0
+        if p1 * p2 <= 0.0:  # the signs differ, or a P is 0
+            return p1 < p2
+        dz = z2 - z1
+        step = dz * (z1 + z2 + 2.0) / p2  # P(z1)/P(z2) - 1, free of P's cancellation
+        ratio = math.log1p(step) if abs(step) < 0.5 else math.log(abs(p1)) - math.log(abs(p2))
+        return (ratio + dz) * p1 < 0.0
 
     hi = ARGMIN_START
-    while objective(hi) < objective(hi / 2.0):
+    while below(hi, hi / 2.0):
         hi *= 2.0
     n_iter = int(math.ceil(math.log(ARGMIN_TOL / hi) / math.log(_INV_PHI)))
     a, b, dist = 0.0, hi, hi
     c_pt, d_pt = _INV_PHI_SQ * dist, _INV_PHI * dist
-    yc, yd = objective(c_pt), objective(d_pt)
     for _ in range(n_iter - 1):
-        if yc < yd:
-            b, d_pt, yd = d_pt, c_pt, yc
-            dist *= _INV_PHI
+        dist *= _INV_PHI
+        if below(c_pt, d_pt):
+            b, d_pt = d_pt, c_pt
             c_pt = a + _INV_PHI_SQ * dist
-            yc = objective(c_pt)
         else:
-            a, c_pt, yc = c_pt, d_pt, yd
-            dist *= _INV_PHI
+            a, c_pt = c_pt, d_pt
             d_pt = a + _INV_PHI * dist
-            yd = objective(d_pt)
-    return (0.5 * (a + d_pt) if yc < yd else 0.5 * (c_pt + b)) / lam
+    return (0.5 * (a + d_pt) if below(c_pt, d_pt) else 0.5 * (c_pt + b)) / lam

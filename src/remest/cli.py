@@ -33,7 +33,9 @@ ANALYTIC_RESIDUAL_TOL = 1e-12
 EMPIRICAL_RESIDUAL_TOL = 0.02
 UNMATCHED_ANALYTIC_MIN = 0.1
 UNMATCHED_EMPIRICAL_MIN = 0.05
+# the argmin's grade in z = lambda*beta: 8 ulps of z* exceed 1e-6 from z* = 2^30
 ARGMIN_AGREEMENT_TOL = 1e-6
+ARGMIN_AGREEMENT_ULPS = 8
 
 
 class ConfigError(ValueError):
@@ -281,9 +283,14 @@ def _mc_check(metric: str, estimate: simulator.MonteCarloEstimate | None, target
                   z=estimate.z_score(target) if graded else None)
 
 
-def _argmin_check(metric: str, gap: float) -> dict:
-    return _check(metric, gap, ARGMIN_AGREEMENT_TOL, "|numeric - formula| < tolerance",
-                  gap < ARGMIN_AGREEMENT_TOL)
+def _argmin_check(metric: str, rows: list[tuple[float, float, float]]) -> dict:
+    """The largest gap in z = lambda*beta over (lambda, formula, numeric) rows."""
+    gaps = [(lam * abs(numeric - formula), lam * formula) for lam, formula, numeric in rows]
+    passed = all(gap < max(ARGMIN_AGREEMENT_TOL, ARGMIN_AGREEMENT_ULPS * math.ulp(z))
+                 for gap, z in gaps)
+    return _check(metric, max(gap for gap, _ in gaps), ARGMIN_AGREEMENT_TOL,
+                  f"|lambda*(numeric - formula)| < max(tolerance, {ARGMIN_AGREEMENT_ULPS} "
+                  "ulp of lambda*formula)", passed)
 
 
 def _report(command: str, cfg: dict, checks: list[dict], **body) -> dict:
@@ -336,7 +343,7 @@ def cmd_optimize(cfg: dict) -> dict:
     formula, numeric, j_formula, mc = _threshold_row(p, cfg["horizon"], cfg["episodes"], rng)
     j_numeric = analytics.cost_closed_form(p, numeric).total
 
-    checks = [_argmin_check("argmin_agreement", abs(numeric - formula)),
+    checks = [_argmin_check("argmin_agreement", [(p.lam, formula, numeric)]),
               _mc_check("mc_cost_covers_closed_form", mc, j_formula)]
     # every optimize field but the last, passed, which _report adds
     headline = (formula, numeric, j_formula, j_numeric, mc.mean, mc.std_error, mc.n)
@@ -396,8 +403,8 @@ def cmd_sweep(cfg: dict) -> dict:
             row.update(zip(_SPOT_COLUMNS, (mc.mean, mc.std_error, mc.covers(j_formula, SIGMAS))))
         rows.append(row)
 
-    gap = max(abs(row["beta_star_formula"] - row["beta_star_numeric"]) for row in rows)
-    checks = [_argmin_check("argmin_agreement_all_rows", gap)]
+    checks = [_argmin_check("argmin_agreement_all_rows", [
+        (row["lambda"], row["beta_star_formula"], row["beta_star_numeric"]) for row in rows])]
     if cfg["spot_check"]:
         checks.append(_check("mc_spot_checks", None, SIGMAS,
                              f"every row's |j_mc_mean - J_at_beta_star| {_SE_RULE}",

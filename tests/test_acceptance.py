@@ -165,8 +165,8 @@ def test_criterion_07_stationarity():
     bad = stationarity_check(REF, switched, 10, 10**5, RngHandle(20240, 4))
     passed = good.passed and not bad.passed
     _report(7, "stationarity", passed,
-            f"stationary max z={good.max_pairwise_z:.2f}, "
-            f"counterexample max z={bad.max_pairwise_z:.1f}")
+            f"stationary F={good.f_statistic:.2f} (p={good.p_value:.2g}), "
+            f"counterexample F={bad.f_statistic:.1f} (p={bad.p_value:.2g})")
 
 
 def test_criterion_08_conditional_unbiasedness():

@@ -174,11 +174,22 @@ class TestNumericArgmin:
             p = SystemParams(lam=lam, k=k, p_t=1.0, c=c)
             assert abs(numeric_argmin(p) - optimal_threshold(p)) < 1e-6, (lam, k, c)
 
+    @pytest.mark.parametrize("lam, c", [(16.0, 1000.0), (1.0, 1e6), (2.0**20, 1000.0),
+                                        (2.0**40, 1.0)])
+    def test_places_z_where_e_to_the_minus_z_underflows(self, lam, c):
+        # e^(-z) is 0 in float64 from z of about 745, and near a large z*
+        # P(z) = lam²(c + m) - z² - 2z - 2 cancels: z* = 506, 1000, 3.3e7, 2^40
+        p = SystemParams(lam=lam, k=2.0, p_t=1.0, c=c)
+        z_star = p.lam * optimal_threshold(p)
+        gap = p.lam * abs(numeric_argmin(p) - optimal_threshold(p))
+        assert gap < max(1e-6, 8 * math.ulp(z_star)), gap
+
     @pytest.mark.parametrize("params", [
         (1.1e-154, 1.0, 1.0, 1.0),
         (8e-155, 1e20, 1.0, 1.0),
-        (1.0, 2.0, 1.0, 1e300),  # the cost flattens in float64 at a bracket of 2,560
-    ], ids=("tiny_lambda", "tiny_lambda_huge_k", "huge_c"))
+        (1.0, 2.0, 1.0, 1e300),  # z* = 1e150
+        (1e154, 2.0, 1.0, 1.0),  # z² overflows to inf inside the bracket
+    ], ids=("tiny_lambda", "tiny_lambda_huge_k", "huge_c", "huge_lambda"))
     def test_finite_on_extreme_models(self, params):
         assert math.isfinite(numeric_argmin(SystemParams(*params)))
 

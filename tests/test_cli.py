@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remest import simulator
+from remest import analytics, simulator
 from remest.analytics import cost_closed_form, numeric_argmin, optimal_threshold
 from remest.cli import (
     _CHECK_COLUMNS,
@@ -413,8 +413,8 @@ class TestNonFiniteValues:
         ("simulate", {"lambda": 1.1e-154, "k": 1},
          {"per_stage_cost", "mse_tx", "mse_tx_pos", "mse_tx_neg", "bias_tx"}),
         ("simulate", {"lambda": 8e-155, "k": 1e20, "strategy": "never"}, {"per_stage_cost"}),
-        ("optimize", {"lambda": 8e-155, "k": 1e20},
-         {"argmin_agreement", "mc_cost_covers_closed_form"}),
+        # z* = lambda*beta* = 1, and the argmin places it to 4e-10
+        ("optimize", {"lambda": 8e-155, "k": 1e20}, {"mc_cost_covers_closed_form"}),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_written_as_null(self, tmp_path, command, fields, failed):
@@ -539,6 +539,31 @@ class TestOptimize:
         assert main(["optimize", "--config", str(cfg)]) == 0
         report = json.loads(out.read_text())
         assert abs(report["beta_star_numeric"] - report["beta_star_formula"]) < 1e-6
+
+    @pytest.mark.parametrize("model", [(1e-3, 0.5, 1.0, 1.0), (0.01, 2.0, 1.0, 1.0),
+                                       (16.0, 2.0, 1.0, 1000.0)])
+    def test_argmin_is_graded_in_z(self, tmp_path, model):
+        # at lambda = 1e-3 and 0.01 a gap of 1e-8 in z is 1e-5 and 1e-6 in
+        # beta; at the third, z* = 506 and e^(-z) underflows to 0 inside the
+        # search's bracket [0, 1280]
+        out = tmp_path / "opt.json"
+        cfg = write_config(tmp_path / "cfg.json", horizon=200, episodes=10, out=str(out),
+                           **dict(zip(("lambda", "k", "p_t", "c"), model)))
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["metric"] == "argmin_agreement"
+        assert check["estimate"] < 1e-6
+
+    @pytest.mark.parametrize("lam", [2.0**-20, 1.0, 2.0**20])
+    @pytest.mark.parametrize("factor", [0.0, 1.0 + 1e-5])
+    def test_a_wrong_argmin_fails(self, tmp_path, monkeypatch, lam, factor):
+        monkeypatch.setattr(analytics, "numeric_argmin",
+                            lambda p: factor * analytics.optimal_threshold(p))
+        out = tmp_path / "opt.json"
+        cfg = write_config(tmp_path / "cfg.json", horizon=200, episodes=10, out=str(out),
+                           **{"lambda": lam})
+        assert main(["optimize", "--config", str(cfg)]) == 1
+        assert json.loads(out.read_text())["checks"][0]["passed"] is False
 
     def test_csv_fields(self, tmp_path):
         out = tmp_path / "opt.csv"

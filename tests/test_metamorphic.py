@@ -35,11 +35,11 @@ BETA = 0.8
 # the power of s by which each simulate row's estimate, SE and target scale
 SIMULATE_ROWS = {"per_stage_cost": 2, "mse_tx": 2, "mse_tx_pos": 2, "mse_tx_neg": 2,
                  "power": 0, "tx_frequency": 0, "bias_tx": 1}
-# the power of s by which each sweep column scales; beta_star_numeric is
-# left out: numeric_argmin starts its bracket at the fixed beta = 10, so it
-# is not exact under R1 (ROADMAP item 12)
+# the power of s by which each sweep column scales; numeric_argmin searches
+# z = lambda*beta, which R1 leaves unchanged, so beta_star_numeric is exact
 SWEEP_COLUMNS = {"lambda": -1, "k": 0, "P_T": 0, "c": 2, "beta_star_formula": 1,
-                 "J_at_beta_star": 2, "j_mc_mean": 2, "j_mc_std_error": 2}
+                 "beta_star_numeric": 1, "J_at_beta_star": 2, "j_mc_mean": 2,
+                 "j_mc_std_error": 2}
 
 STRATEGIES = ["optimal", "threshold", "always", "never", "noise_blind"]
 
@@ -108,8 +108,8 @@ def test_simulate(tmp_path, model, s, strategy):
 @by_scale
 @by_model
 def test_sweep_formula_and_spot_columns(tmp_path, model, s):
-    # the argmin check reads beta_star_numeric, so the exit codes may differ
-    (_, want), (_, got) = _sweep_rows(tmp_path, model, _image(model, s))
+    (want_code, want), (got_code, got) = _sweep_rows(tmp_path, model, _image(model, s))
+    assert got_code == want_code
     for column, power in SWEEP_COLUMNS.items():
         assert got[column] == s ** power * want[column], column
     assert got["j_mc_within_4se"] == want["j_mc_within_4se"]
@@ -126,7 +126,8 @@ def test_stationarity_stage_means(model, s):
     base, image = reports
     assert [(est.mean, est.std_error) for est in image.stage_means] == [
         (s * s * est.mean, s * s * est.std_error) for est in base.stage_means]
-    assert (image.max_pairwise_z, image.passed) == (base.max_pairwise_z, base.passed)
+    assert ((image.f_statistic, image.p_value, image.passed)
+            == (base.f_statistic, base.p_value, base.passed))
 
 
 @by_model

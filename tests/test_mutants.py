@@ -8,15 +8,18 @@ with ``pytest -x`` in a subprocess against the copy.  The run must fail: a
 test fails, not an import or a collection.  The control row makes no edit,
 and its run must pass, so a row passes only through its mutant.
 
-Each row starts a fresh interpreter that imports numpy and scipy and
-collects the named modules: 0.5-1.5 s a row, and about 10 s for the module,
-on 2 vCPUs.
+Each row starts a fresh interpreter that imports numpy and scipy and collects
+the named modules, 0.5-2.5 s a row.  The rows therefore run concurrently: the
+first test of the module starts every selected row, the control included,
+on a thread pool of at most ``os.cpu_count()`` workers, each thread waiting
+on one ``subprocess.run``, and each test then reads the outcome of its row.
 """
 
 import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -33,10 +36,23 @@ BRANCH_GUARD = ("tests/test_cli.py::TestValidation::"
 MUTANTS = {
     # lam²·J with its constant 2, where rounding loses the cost's dip
     "argmin-objective-keeps-its-2": (
-        "analytics.py", "return math.exp(-z) * (tx_cost",
-        "return 2.0 + math.exp(-z) * (tx_cost",
+        "analytics.py", "return (ratio + dz) * p1 < 0.0",
+        "return 2.0 + math.exp(-z1) * p1 < 2.0 + math.exp(-z2) * p2",
         ["tests/test_analytics.py::TestNumericArgmin::"
          "test_agrees_where_the_cost_dips_little_below_its_plateau"]),
+    # f's values themselves, tied at 0 once e^(-z) underflows
+    "argmin-compares-underflowing-values": (
+        "analytics.py", "return (ratio + dz) * p1 < 0.0",
+        "return math.exp(-z1) * p1 < math.exp(-z2) * p2",
+        ["tests/test_analytics.py::TestNumericArgmin::"
+         "test_places_z_where_e_to_the_minus_z_underflows[16.0-1000.0]"]),
+    # log(P1/P2) from the two rounded P, which cancel near a large z*
+    "argmin-log-of-the-rounded-ratio": (
+        "analytics.py",
+        "math.log1p(step) if abs(step) < 0.5 else math.log(abs(p1)) - math.log(abs(p2))",
+        "math.log(abs(p1)) - math.log(abs(p2))",
+        ["tests/test_analytics.py::TestNumericArgmin::"
+         "test_places_z_where_e_to_the_minus_z_underflows[1048576.0-1000.0]"]),
     # the conjugate half on every grid, symmetric about 0 or not
     "conjugate-half-on-any-grid": (
         "distributions.py", "start == -stop", "True", [CHAR_FN]),
@@ -51,12 +67,32 @@ MUTANTS = {
     "sweep-spot-check-at-8-se": (
         "cli.py", "mc.covers(j_formula, SIGMAS)", "mc.covers(j_formula, 2 * SIGMAS)",
         ["tests/test_cli.py::TestSweep::test_a_row_6_se_off_fails_the_spot_checks"]),
-    "stationarity-z-max-6": (
-        "simulator.py", "STATIONARITY_Z_MAX = 4.0", "STATIONARITY_Z_MAX = 6.0",
-        ["tests/test_simulator.py::TestStationarity::test_a_max_z_between_4_and_6_fails"]),
+    # the F test at a level that passes the switch on 200 episodes (p = 2.4e-10)
+    "stationarity-level-1e-12": (
+        "simulator.py", "STATIONARITY_LEVEL = math.erfc(4 / math.sqrt(2))",
+        "STATIONARITY_LEVEL = 1e-12",
+        ["tests/test_simulator.py::TestStationarity::test_a_switch_on_200_episodes_fails"]),
     "min-transmissions-10": (
         "simulator.py", "MIN_TRANSMISSIONS = 100", "MIN_TRANSMISSIONS = 10",
         ["tests/test_simulator.py::TestConditionalFold::test_tens_of_transmissions_are_too_few"]),
+    # the conditional fold's raw sums, Σd² - (Σd)²/n with no shift
+    "fold-zero-shift": (
+        "simulator.py", "shift = np.add.reduce(d[:3], axis=1, keepdims=True) / b.on.size",
+        "shift = np.zeros((3, 1))",
+        ["tests/test_simulator.py::TestConditionalFold::"
+         "test_matches_fsum_moments[offset-decoder]"]),
+    # the negative branch as the total less the positive one, whose pooled
+    # sum of squares overflows where the branch's own does not
+    "fold-total-less-positive": (
+        "simulator.py", "_shifted_estimate(n_tx - n_pos, k_sq, s_neg, q_neg)",
+        "_shifted_estimate(n_tx - n_pos, k_sq, (s_neg + s_pos) - s_pos, (q_neg + q_pos) - q_pos)",
+        ["tests/test_simulator.py::TestConditionalFold::"
+         "test_extreme_scale_overflows_where_each_rows_m2_does[80-finite1]"]),
+    # (s·s)/n, where s² overflows and the sum of squares does not
+    "fold-s-squared-over-n": (
+        "simulator.py", "total / n * total", "total * total / n",
+        ["tests/test_simulator.py::TestConditionalFold::"
+         "test_extreme_scale_with_a_one_sample_shift"]),
     "modulus-floor-1e-2": (
         "matching.py", "EMPIRICAL_MODULUS_FLOOR = 1e-3", "EMPIRICAL_MODULUS_FLOOR = 1e-2",
         ["tests/test_matching.py::TestEmpiricalModulusFloor::"
@@ -64,37 +100,48 @@ MUTANTS = {
 }
 
 
-def _run(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    """``pytest -x`` on ``tests`` in ``copy``, importing remest from its ``src``."""
+def _run(tmp: Path, edit: tuple[str, str, str] | None, tests: list[str]):
+    """``pytest -x`` on ``tests`` in a copy of the tree in ``tmp``, importing
+    remest from its ``src``, with ``edit`` (module, old text, new text) made
+    first; the old text must occur once."""
+    copy = tmp / "repo"
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, copy / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
+    if edit is not None:
+        module, old, new = edit
+        path = copy / "src" / "remest" / module
+        text = path.read_text()
+        assert text.count(old) == 1, f"{old!r} occurs {text.count(old)} times in {module}"
+        path.write_text(text.replace(old, new))
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                            *tests], cwd=copy, env=env, capture_output=True, text=True,
                           timeout=600)
 
 
-def _copy(tmp_path: Path) -> Path:
-    copy = tmp_path / "repo"
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, copy / name,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
-    return copy
+@pytest.fixture(scope="module")
+def runs(request, tmp_path_factory):
+    """The pending run of each selected row, keyed by its id; the control's
+    key is None."""
+    rows = {name: (MUTANTS[name][:3], MUTANTS[name][3]) for name in MUTANTS}
+    rows[None] = (None, sorted({test for *_, named in MUTANTS.values() for test in named}))
+    selected = {item.callspec.params["name"] if item.function is test_mutant_is_killed else None
+                for item in request.session.items if getattr(item, "function", None)
+                in (test_mutant_is_killed, test_control_without_a_mutant_passes)}
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(selected))) as pool:
+        yield {name: pool.submit(_run, tmp_path_factory.mktemp("mutant"), *rows[name])
+               for name in selected}
 
 
 @pytest.mark.parametrize("name", MUTANTS)
-def test_mutant_is_killed(name, tmp_path):
-    module, old, new, tests = MUTANTS[name]
-    copy = _copy(tmp_path)
-    path = copy / "src" / "remest" / module
-    text = path.read_text()
-    assert text.count(old) == 1, f"{old!r} occurs {text.count(old)} times in {module}"
-    path.write_text(text.replace(old, new))
-    done = _run(copy, tests)
+def test_mutant_is_killed(name, runs):
+    done = runs[name].result()
     # exit 1: tests ran and one failed; 2-5 are errors of the run itself
     assert done.returncode == 1, f"{name} survived\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
 
 
-def test_control_without_a_mutant_passes(tmp_path):
-    tests = sorted({test for _, _, _, named in MUTANTS.values() for test in named})
-    done = _run(_copy(tmp_path), tests)
+def test_control_without_a_mutant_passes(runs):
+    done = runs[None].result()
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

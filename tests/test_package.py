@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import remest
@@ -22,3 +25,15 @@ def test_every_public_name_resolves():
             missing += [f"remest.{alias.name}" for alias in node.names
                         if not hasattr(source, alias.name) or not hasattr(remest, alias.name)]
     assert not missing
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.special alone takes about 270 ms to import, and a fresh
+    # `import remest.cli` is every command's start-up cost
+    src = str(Path(remest.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, remest, remest.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]", done.stdout

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import f_oneway
 
 from remest.analytics import cost_closed_form, optimal_threshold
 from remest.distributions import (
@@ -15,6 +16,7 @@ from remest.distributions import (
 from remest.simulator import (
     CHUNK_STAGES,
     MIN_TRANSMISSIONS,
+    STATIONARITY_LEVEL,
     MonteCarloEstimate,
     estimate_conditional_stats,
     estimate_cost,
@@ -259,40 +261,38 @@ class TestStationarity:
     def test_stationary_strategy_passes(self):
         report = stationarity_check(REF, OPTIMAL, 10, 20_000, RngHandle(2025, 8))
         assert report.passed
-        assert report.max_pairwise_z < 4.0
+        assert report.p_value >= STATIONARITY_LEVEL
         assert len(report.stage_means) == 10
 
     def test_single_stage_trivially_passes(self):
         report = stationarity_check(REF, OPTIMAL, 1, 1_000, RngHandle(2025, 9))
         assert report.passed
-        assert report.max_pairwise_z == 0.0
+        assert (report.f_statistic, report.p_value) == (0.0, 1.0)
 
     def test_nonstationary_counterexample_fails(self):
         switched = SwitchedThreshold(REF, BETA_STAR, switch_stage=5)
         report = stationarity_check(REF, switched, 10, 20_000, RngHandle(2025, 8))
         assert not report.passed
-        assert report.max_pairwise_z > 4.0
+        assert report.p_value < STATIONARITY_LEVEL
 
-    def test_a_max_z_between_4_and_6_fails(self):
-        # the switch of the counterexample, on 1% of its episodes
+    def test_a_switch_on_200_episodes_fails(self):
+        # the switch of the counterexample, on 1% of its episodes: F = 7.2
         switched = SwitchedThreshold(REF, BETA_STAR, switch_stage=5)
         report = stationarity_check(REF, switched, 10, 200, RngHandle(2025, 7))
-        assert 4.5 <= report.max_pairwise_z <= 5.5
+        assert 1e-11 <= report.p_value <= 1e-8
         assert not report.passed
 
     @pytest.mark.parametrize("horizon", [10, 600])
-    def test_max_z_equals_full_pairwise_formula(self, horizon):
-        # 600 stages take several row blocks of the pairwise scan
+    def test_f_and_p_equal_scipy_f_oneway(self, horizon):
+        # the stage costs of the reference kernel, one group per stage
         report = stationarity_check(REF, OPTIMAL, horizon, 50, RngHandle(2025, 16))
-        means = np.array([e.mean for e in report.stage_means])
-        ses = np.array([e.std_error for e in report.stage_means])
-        gap = np.abs(means[:, None] - means[None, :])
-        joint = np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
-        iu = np.triu_indices(horizon, k=1)
-        assert report.max_pairwise_z == float(np.max(gap[iu] / joint[iu]))
+        costs = _stage_costs(REF, OPTIMAL, horizon, 50, RngHandle(2025, 16))
+        want = f_oneway(*costs.T)
+        assert report.f_statistic == pytest.approx(want.statistic, rel=1e-12)
+        assert report.p_value == pytest.approx(want.pvalue, rel=1e-12)
 
-    def test_pairwise_scan_memory_is_linear_in_horizon(self):
-        # an H x H array of pairs would be 30 MiB at H=2000
+    def test_memory_is_linear_in_horizon(self):
+        # an H x H array of stage pairs would be 30 MiB at H=2000
         def run():
             return stationarity_check(REF, OPTIMAL, 2_000, 50, RngHandle(2025, 17))
 
@@ -304,6 +304,17 @@ class TestStationarity:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("horizon, episodes, seeds", [(100, 2_000, 40), (600, 50, 20),
+                                                          (2_000, 50, 10)])
+    def test_calibrated_under_the_stationary_policy(self, horizon, episodes, seeds):
+        # many stages: a bound on each of the H(H-1)/2 stage pairs without a
+        # multiplicity correction fails such runs more often as H grows
+        failed = [seed for seed in range(seeds)
+                  if not stationarity_check(REF, OPTIMAL, horizon, episodes,
+                                            RngHandle(seed)).passed]
+        assert failed == []
 
 
 class TestBoundedMemory:
