@@ -1,8 +1,9 @@
-"""Closed-form expected stage cost of a threshold policy with the matched
-affine coder, its derivative in the threshold, the optimal threshold
-sqrt(c + m), and a golden-section minimizer in z = lam·beta used as an
-independent numerical cross-check.  The ``optimize`` and ``sweep`` commands
-evaluate them.
+"""Every closed form of the model: the expected stage cost of a threshold
+policy with the matched or the noise-blind affine coder and its error given
+a transmission, the cost's derivative in the threshold, the optimal
+threshold sqrt(c + m), and a golden-section minimizer in z = lam·beta used
+as an independent numerical cross-check.  Each command takes its targets
+from here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class CostBreakdown:
 
     total = comm + est_no_tx + est_tx, where comm = c·tx_prob, est_no_tx is
     the truncated second moment inside the silence band, and est_tx is the
-    residual estimation error m carried by each transmission.
+    estimation error mse_tx = E[err² | tx] carried by each transmission.
     """
 
     total: float
@@ -37,10 +38,12 @@ class CostBreakdown:
     est_no_tx: float
     est_tx: float
     tx_prob: float
+    mse_tx: float
 
 
-def cost_closed_form(p: SystemParams, beta: float) -> CostBreakdown:
-    """Expected stage cost of threshold ``beta`` with the matched coder.
+def cost_closed_form(p: SystemParams, beta: float, matched: bool = True) -> CostBreakdown:
+    """Expected stage cost of threshold ``beta`` (inf never transmits) with
+    the matched coder, or with the noise-blind one when not ``matched``.
 
     For the two-sided exponential source the silence-band term has
     antiderivative
@@ -48,21 +51,25 @@ def cost_closed_form(p: SystemParams, beta: float) -> CostBreakdown:
         2·int_0^beta x²·(lam/2)·e^(-lam·x) dx
             = 2/lam² - e^(-lam·beta)·(beta² + 2·beta/lam + 2/lam²),
 
-    and a transmission occurs with probability e^(-lam·beta), costing c + m.
-    The antiderivative is verified against adaptive quadrature in the tests.
+    and a transmission occurs with probability e^(-lam·beta), costing
+    c + mse_tx.  Given a transmission the matched decoder errs by m; the
+    noise-blind one inverts the encoder, so it errs by s·G with
+    G ~ Gamma(k, 1/lam), whose second moment is k(k+1)/lam².  The
+    antiderivative is verified against adaptive quadrature in the tests.
     The tail is computed in z = lam·beta, so beta² and 2·beta/lam never leave
     the float range, and it is 0 once e^(-z) underflows: the cost is 2/lam².
     """
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    if not beta >= 0.0:  # also NaN
+        raise ValueError(f"beta must be >= 0, got {beta!r}")
     lam = p.lam
     z = lam * beta
     tx_prob = math.exp(-z)
     tail = tx_prob and tx_prob * (z * z + 2.0 * z + 2.0) / lam**2
+    mse_tx = p.m if matched else p.k * (p.k + 1.0) / lam**2
     comm = p.c * tx_prob
-    est_tx = p.m * tx_prob
+    est_tx = mse_tx * tx_prob
     est_no_tx = 2.0 / lam**2 - tail
-    return CostBreakdown(est_no_tx + comm + est_tx, comm, est_no_tx, est_tx, tx_prob)
+    return CostBreakdown(est_no_tx + comm + est_tx, comm, est_no_tx, est_tx, tx_prob, mse_tx)
 
 
 def cost_derivative(p: SystemParams, beta: float) -> float:
@@ -103,24 +110,29 @@ def numeric_argmin(p: SystemParams) -> float:
     Deliberately independent of :func:`cost_derivative` and of the
     sqrt(c+m) formula, so it can serve as an oracle for both.  ``hi`` starts
     at ARGMIN_START and doubles while f(hi) < f(hi/2); f is unimodal on
-    (0, inf), so the minimizer then lies below ``hi``.
+    (0, inf), so the minimizer then lies below ``hi``.  Where lam²·(c + m)
+    passes 2^1000, z runs in units of ``scale``, the power of two that keeps
+    z² in the float range, and P in units of scale²; elsewhere ``scale`` is 1.
     """
-    lam = p.lam
-    tx_cost = float(lam**2 * (p.c + p.m))  # a transmission's cost in units of 1/lam²
+    lam, c_m = p.lam, p.c + p.m
+    scale = math.ldexp(1.0, max(0, (2 * math.frexp(lam)[1] + math.frexp(c_m)[1]) // 2 - 500))
+    tx_cost = float((lam / scale) ** 2 * c_m)  # a transmission's cost in units of (scale/lam)²
+    two = 2.0 / scale  # 2·z and 2 in these units are two·z and two/scale
 
-    def below(z1: float, z2: float) -> bool:  # f(z1) < f(z2)
-        p1, p2 = tx_cost - z1 * z1 - 2.0 * z1 - 2.0, tx_cost - z2 * z2 - 2.0 * z2 - 2.0
+    def below(z1: float, z2: float) -> bool:  # f(z1) < f(z2), both in units of scale
+        p1 = tx_cost - z1 * z1 - two * z1 - two / scale
+        p2 = tx_cost - z2 * z2 - two * z2 - two / scale
         if p1 * p2 <= 0.0:  # the signs differ, or a P is 0
             return p1 < p2
-        dz = z2 - z1
-        step = dz * (z1 + z2 + 2.0) / p2  # P(z1)/P(z2) - 1, free of P's cancellation
+        step = (z2 - z1) * (z1 + z2 + two) / p2  # P(z1)/P(z2) - 1, free of P's cancellation
         ratio = math.log1p(step) if abs(step) < 0.5 else math.log(abs(p1)) - math.log(abs(p2))
+        dz = scale * (z2 - z1)
         return (ratio + dz) * p1 < 0.0
 
     hi = ARGMIN_START
     while below(hi, hi / 2.0):
         hi *= 2.0
-    n_iter = int(math.ceil(math.log(ARGMIN_TOL / hi) / math.log(_INV_PHI)))
+    n_iter = int(math.ceil((math.log(ARGMIN_TOL / hi) - math.log(scale)) / math.log(_INV_PHI)))
     a, b, dist = 0.0, hi, hi
     c_pt, d_pt = _INV_PHI_SQ * dist, _INV_PHI * dist
     for _ in range(n_iter - 1):
@@ -131,4 +143,4 @@ def numeric_argmin(p: SystemParams) -> float:
         else:
             a, c_pt = c_pt, d_pt
             d_pt = a + _INV_PHI * dist
-    return (0.5 * (a + d_pt) if below(c_pt, d_pt) else 0.5 * (c_pt + b)) / lam
+    return (0.5 * (a + d_pt) if below(c_pt, d_pt) else 0.5 * (c_pt + b)) / (lam / scale)

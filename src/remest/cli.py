@@ -248,22 +248,14 @@ def _derived_block(p: SystemParams) -> dict:
     }
 
 
-# The strategies with a fixed threshold: never transmitting is beta = inf.
-_FIXED_BETA = {"always": 0.0, "never": math.inf}
+# The strategies whose threshold the config's `beta` does not set, None for
+# beta*: never transmitting is beta = inf.
+_FIXED_BETA = {"optimal": None, "always": 0.0, "never": math.inf}
 
 
-def _build_strategy(cfg: dict, p: SystemParams):
-    name = cfg["strategy"]
-    beta = _FIXED_BETA.get(name, cfg["beta"])
-    # `threshold` requires beta; `noise_blind` takes it and defaults to beta*
-    if name == "optimal" or beta is None:
-        beta = analytics.optimal_threshold(p)
-    return strategies.ThresholdAffineStrategy(p, beta, matched=name != "noise_blind"), beta
-
-
-def _check(metric: str, estimate, tolerance, basis: str, passed, **diagnostics) -> dict:
+def _check(metric: str, estimate, tolerance, basis: str, passed: bool, **diagnostics) -> dict:
     """One check record: the statistic, the tolerance it is graded against,
-    the rule (``basis``) and the verdict, None for a row that is not graded."""
+    the rule (``basis``) and the verdict."""
     row = dict.fromkeys(_CHECK_COLUMNS)
     row.update(metric=metric, estimate=estimate, tolerance=tolerance, basis=basis,
                passed=passed, **diagnostics)
@@ -271,16 +263,14 @@ def _check(metric: str, estimate, tolerance, basis: str, passed, **diagnostics) 
 
 
 def _mc_check(metric: str, estimate: simulator.MonteCarloEstimate | None, target) -> dict:
-    """A Monte Carlo statistic against its closed-form target: not graded
-    without a target, and failed with nulls when it could not be estimated."""
+    """A Monte Carlo statistic against its closed-form target, failed with
+    nulls when it could not be estimated."""
     basis = f"|estimate - target| {_SE_RULE}"
     if estimate is None:
         return _check(metric, None, SIGMAS, basis, False, target=target)
-    graded = target is not None
-    return _check(metric, estimate.mean, SIGMAS, basis,
-                  estimate.covers(target, SIGMAS) if graded else None,
+    return _check(metric, estimate.mean, SIGMAS, basis, estimate.covers(target, SIGMAS),
                   std_error=estimate.std_error, n=estimate.n, target=target,
-                  z=estimate.z_score(target) if graded else None)
+                  z=estimate.z_score(target))
 
 
 def _argmin_check(metric: str, rows: list[tuple[float, float, float]]) -> dict:
@@ -294,35 +284,32 @@ def _argmin_check(metric: str, rows: list[tuple[float, float, float]]) -> dict:
 
 
 def _report(command: str, cfg: dict, checks: list[dict], **body) -> dict:
-    """A command's report; it passed when no graded check failed."""
-    passed = all(c["passed"] for c in checks if c["passed"] is not None)
+    """A command's report; it passed when every check passed."""
+    passed = all(c["passed"] for c in checks)
     return {"command": command, "config": cfg, **body, "checks": checks, "passed": passed}
 
 
 def cmd_simulate(cfg: dict) -> dict:
     """Monte Carlo run of a strategy with closed-form cross checks"""
     p = _params(cfg)
-    strat, beta = _build_strategy(cfg, p)
-    rng = RngHandle(cfg["seed"], cfg["stream"])
-    name = cfg["strategy"]
-
-    horizon, episodes = cfg["horizon"], cfg["episodes"]
-    if name == "never":
-        cost = simulator.estimate_cost(p, strat, horizon, episodes, rng)
-        checks = [_mc_check("per_stage_cost", cost, 2.0 / p.lam**2)]
+    beta = _FIXED_BETA.get(cfg["strategy"], cfg["beta"])
+    if beta is None:  # `threshold` requires beta; `noise_blind` defaults to beta*
+        beta = analytics.optimal_threshold(p)
+    matched = cfg["strategy"] != "noise_blind"
+    law = analytics.cost_closed_form(p, beta, matched)
+    strat = strategies.ThresholdAffineStrategy(p, beta, matched)
+    run = (p, strat, cfg["horizon"], cfg["episodes"], RngHandle(cfg["seed"], cfg["stream"]))
+    if math.isinf(beta):  # no stage transmits, so there are no conditional rows
+        cost, stats, targets = simulator.estimate_cost(*run), None, {}
     else:
         # one pass: the conditional rows pool the stages of the cost episodes
-        cost, stats = simulator.estimate_cost(p, strat, horizon, episodes, rng, conditional=True)
+        cost, stats = simulator.estimate_cost(*run, conditional=True)
         if stats.problem is not None:
             print(f"error: {stats.problem}", file=sys.stderr)
-        # the noise-blind decoder has no closed-form cost or error
-        blind = name == "noise_blind"
-        m, bias = (None, None) if blind else (p.m, 0.0)
-        targets = {"mse_tx": m, "mse_tx_pos": m, "mse_tx_neg": m, "power": p.p_t,
-                   "tx_frequency": math.exp(-p.lam * beta), "bias_tx": bias}
-        checks = [_mc_check("per_stage_cost", cost,
-                            None if blind else analytics.cost_closed_form(p, beta).total)]
-        checks += [_mc_check(key, getattr(stats, key), target) for key, target in targets.items()]
+        targets = {"mse_tx": law.mse_tx, "mse_tx_pos": law.mse_tx, "mse_tx_neg": law.mse_tx,
+                   "power": p.p_t, "tx_frequency": law.tx_prob, "bias_tx": 0.0}
+    checks = [_mc_check("per_stage_cost", cost, law.total)]
+    checks += [_mc_check(key, getattr(stats, key), target) for key, target in targets.items()]
     return _report("simulate", cfg, checks, derived={**_derived_block(p), "beta": beta})
 
 
@@ -510,9 +497,8 @@ def main(argv=None) -> int:
         return 2
 
     status = "PASS" if report["passed"] else "FAIL"
-    graded = [c for c in report["checks"] if c["passed"] is not None]
-    n_pass = sum(1 for c in graded if c["passed"])
-    print(f"{args.command}: {status} ({n_pass}/{len(graded)} checks) -> {out}")
+    n_pass = sum(1 for c in report["checks"] if c["passed"])
+    print(f"{args.command}: {status} ({n_pass}/{len(report['checks'])} checks) -> {out}")
     return 0 if report["passed"] else 1
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import roots_genlaguerre, roots_laguerre
 
 from remest.analytics import (
     ARGMIN_START,
@@ -13,7 +14,7 @@ from remest.analytics import (
     numeric_argmin,
     optimal_threshold,
 )
-from remest.strategies import SystemParams
+from remest.strategies import SystemParams, ThresholdAffineStrategy
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR_REF = 1.2909944487358056  # sqrt(5/3)
@@ -80,9 +81,63 @@ class TestClosedFormCost:
         with pytest.raises(ValueError):
             cost_closed_form(REF, -0.1)
         with pytest.raises(ValueError):
-            cost_closed_form(REF, float("inf"))
-        with pytest.raises(ValueError):
             cost_closed_form(REF, float("nan"))
+
+    def test_infinite_threshold_never_transmits(self):
+        for matched in (True, False):
+            b = cost_closed_form(REF, math.inf, matched)
+            assert (b.total, b.est_no_tx, b.tx_prob, b.comm, b.est_tx) == (2.0, 2.0, 0.0, 0.0, 0.0)
+
+    def test_noise_blind_pays_its_error_on_each_transmission(self):
+        for beta in (0.0, BETA_STAR_REF, 3.0):
+            matched, blind = cost_closed_form(REF, beta), cost_closed_form(REF, beta, False)
+            assert (matched.mse_tx, blind.mse_tx) == (REF.m, 6.0)  # k(k+1)/lam²
+            assert blind.est_no_tx == matched.est_no_tx
+            assert blind.total - matched.total == pytest.approx(
+                (6.0 - REF.m) * math.exp(-beta), rel=1e-12)
+
+
+class TestTransmissionErrorOracle:
+    """The coder maps themselves, by Gauss quadrature, against the closed
+    form of the error given a transmission; nothing is sampled.
+
+    Given a transmission x = s·(beta + E) with E ~ Exp(lam), and the noise is
+    v = theta·V with V ~ Gamma(k, 1).  The error x_hat - x is
+    s·(h·G - (1 - h)·E) with G = v/alpha ~ Gamma(k, 1/lam) and h the
+    decoder's shrink, a polynomial of degree 2 in E and V, which Laguerre
+    nodes (weight e^(-t)) and generalized Laguerre nodes (weight
+    t^(k-1)·e^(-t)) integrate exactly.
+    """
+
+    NODES = 6
+
+    @staticmethod
+    def error_moments(p, beta, matched, s):
+        """E[err² | tx, s] and E[err | tx, s], with err = x_hat - x."""
+        e_nodes, e_weights = roots_laguerre(TestTransmissionErrorOracle.NODES)
+        v_nodes, v_weights = roots_genlaguerre(TestTransmissionErrorOracle.NODES, p.k - 1.0)
+        x = np.multiply.outer(s * (beta + e_nodes / p.lam), np.ones_like(v_nodes))
+        v = np.multiply.outer(np.ones_like(e_nodes), p.theta * v_nodes)
+        weights = np.multiply.outer(e_weights / e_weights.sum(), v_weights / v_weights.sum())
+        strat = ThresholdAffineStrategy(p, beta, matched)
+        t = np.ones(x.shape, dtype=np.int64)
+        x_hat = strat.decode(t, strat.encode(t, x) + v, np.full(x.shape, s))
+        err = x_hat - x
+        return float(np.sum(weights * err * err)), float(np.sum(weights * err))
+
+    @pytest.mark.parametrize("lam", [2.0**-3, 1.0, 2.0**3])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("matched", [True, False], ids=("matched", "noise_blind"))
+    def test_maps_meet_the_closed_form(self, lam, k, matched):
+        p = SystemParams(lam=lam, k=k, p_t=2.0, c=1.0)
+        beta = optimal_threshold(p)
+        shrink = p.gamma / (p.gamma + 1.0) if matched else 1.0
+        mse_tx = cost_closed_form(p, beta, matched).mse_tx
+        for s in (1, -1):
+            mse, bias = self.error_moments(p, beta, matched, s)
+            assert mse == pytest.approx(mse_tx, rel=1e-12)
+            assert bias == pytest.approx(s * (k * shrink - (1.0 - shrink)) / lam,
+                                         rel=1e-12, abs=1e-12 / lam)
 
 
 class TestCostDerivative:
@@ -188,10 +243,17 @@ class TestNumericArgmin:
         (1.1e-154, 1.0, 1.0, 1.0),
         (8e-155, 1e20, 1.0, 1.0),
         (1.0, 2.0, 1.0, 1e300),  # z* = 1e150
-        (1e154, 2.0, 1.0, 1.0),  # z² overflows to inf inside the bracket
-    ], ids=("tiny_lambda", "tiny_lambda_huge_k", "huge_c", "huge_lambda"))
+        # z* = 1e154, whose square is inf in the bracket's upper part: the
+        # search in z returned 2.07
+        (1e154, 2.0, 1.0, 1.0),
+        (1e150, 2.0, 1.0, 1e10),  # lam²·(c + m) = 1e310 itself: 16,760 in z
+    ], ids=("tiny_lambda", "tiny_lambda_huge_k", "huge_c", "huge_lambda", "huge_tx_cost"))
     def test_finite_on_extreme_models(self, params):
-        assert math.isfinite(numeric_argmin(SystemParams(*params)))
+        p = SystemParams(*params)
+        numeric, formula = numeric_argmin(p), optimal_threshold(p)
+        assert math.isfinite(numeric)
+        z_star = p.lam * formula
+        assert p.lam * abs(numeric - formula) < max(1e-6, 8 * math.ulp(z_star)), numeric
 
     def test_threshold_beats_both_baselines(self):
         # J(beta*) <= J(0) and <= lim J(beta), and <= sampled betas

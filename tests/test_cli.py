@@ -70,15 +70,22 @@ class TestSimulate:
         assert rows["per_stage_cost"]["target"] == 2.0
         assert rows["per_stage_cost"]["passed"] is True
 
-    def test_noise_blind_has_no_mse_target(self, tmp_path):
+    def test_noise_blind_grades_every_row_against_its_own_law(self, tmp_path):
+        # the blind decoder errs by s·G, G ~ Gamma(k, 1/lambda): k(k+1)/lambda² = 6
         cfg = write_config(tmp_path / "cfg.json", strategy="noise_blind",
                            horizon=2_000, episodes=10, seed=7,
                            out=str(tmp_path / "report.json"))
         assert main(["simulate", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         rows = {r["metric"]: r for r in report["checks"]}
-        assert rows["mse_tx"]["target"] is None
-        assert rows["power"]["target"] == 1.0
+        assert len(rows) == 7
+        assert all(row["passed"] is True for row in rows.values()), rows
+        for key in ("mse_tx", "mse_tx_pos", "mse_tx_neg"):
+            assert rows[key]["target"] == 6.0
+        law = cost_closed_form(SystemParams(1.0, 2.0, 1.0, 1.0), report["derived"]["beta"],
+                               matched=False)
+        assert rows["per_stage_cost"]["target"] == law.total
+        assert (rows["power"]["target"], rows["bias_tx"]["target"]) == (1.0, 0.0)
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -376,8 +383,8 @@ class TestValidation:
 
 
 class TestCheckRecord:
-    """Every command writes its checks in one shape, and its verdict is the
-    conjunction of the graded checks."""
+    """Every command writes its checks in one shape, each graded, and its
+    verdict is their conjunction."""
 
     SMALL = {
         "simulate": {"strategy": "noise_blind", "horizon": 200, "episodes": 5},
@@ -398,10 +405,9 @@ class TestCheckRecord:
         for check in report["checks"]:
             assert check.keys() == set(_CHECK_COLUMNS), check
             assert isinstance(check["basis"], str) and check["basis"], check
-        graded = [c["passed"] for c in report["checks"] if c["passed"] is not None]
-        assert report["passed"] is all(graded)
-        if command == "simulate":  # the noise-blind decoder has no closed-form error
-            assert None in [c["passed"] for c in report["checks"]]
+        verdicts = [c["passed"] for c in report["checks"]]
+        assert all(isinstance(verdict, bool) for verdict in verdicts), verdicts
+        assert report["passed"] is all(verdicts)
 
 
 class TestNonFiniteValues:

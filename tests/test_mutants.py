@@ -53,6 +53,10 @@ MUTANTS = {
         "math.log(abs(p1)) - math.log(abs(p2))",
         ["tests/test_analytics.py::TestNumericArgmin::"
          "test_places_z_where_e_to_the_minus_z_underflows[1048576.0-1000.0]"]),
+    # the noise-blind decoder graded against the matched decoder's error m
+    "blind-graded-as-matched": (
+        "analytics.py", "p.k * (p.k + 1.0) / lam**2", "p.m",
+        ["tests/test_cli.py::TestSimulate::test_noise_blind_grades_every_row_against_its_own_law"]),
     # the conjugate half on every grid, symmetric about 0 or not
     "conjugate-half-on-any-grid": (
         "distributions.py", "start == -stop", "True", [CHAR_FN]),
