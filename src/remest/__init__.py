@@ -37,11 +37,9 @@ from .simulator import (
     ConditionalStats,
     EpisodeTrace,
     MonteCarloEstimate,
-    StationarityReport,
     estimate_conditional_stats,
     estimate_cost,
     run_episode,
-    stationarity_check,
 )
 from .strategies import SystemParams, ThresholdAffineStrategy
 

@@ -92,8 +92,8 @@ def optimal_threshold(p: SystemParams) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-# The golden-section search in z = lam·beta starts from the bracket
-# [0, ARGMIN_START] and stops when the bracket is narrower than ARGMIN_TOL.
+# Below lam²·(c + m) = 2^1000 the golden-section search in z = lam·beta starts
+# from the bracket [0, ARGMIN_START] and stops when it is narrower than ARGMIN_TOL.
 ARGMIN_START = 10.0
 ARGMIN_TOL = 1e-8
 
@@ -112,10 +112,13 @@ def numeric_argmin(p: SystemParams) -> float:
     at ARGMIN_START and doubles while f(hi) < f(hi/2); f is unimodal on
     (0, inf), so the minimizer then lies below ``hi``.  Where lam²·(c + m)
     passes 2^1000, z runs in units of ``scale``, the power of two that keeps
-    z² in the float range, and P in units of scale²; elsewhere ``scale`` is 1.
+    z² in the float range, and P in units of scale²; there ``hi`` starts at
+    2^500 and the search stops at a bracket of at most 4 ulps of z*, since
+    ARGMIN_TOL lies far below one.  Elsewhere ``scale`` is 1.
     """
     lam, c_m = p.lam, p.c + p.m
-    scale = math.ldexp(1.0, max(0, (2 * math.frexp(lam)[1] + math.frexp(c_m)[1]) // 2 - 500))
+    e = (2 * math.frexp(lam)[1] + math.frexp(c_m)[1]) // 2  # z* lies in [2^(e-1.5), 2^(e+0.5))
+    scale = math.ldexp(1.0, max(0, e - 500))
     tx_cost = float((lam / scale) ** 2 * c_m)  # a transmission's cost in units of (scale/lam)²
     two = 2.0 / scale  # 2·z and 2 in these units are two·z and two/scale
 
@@ -129,10 +132,12 @@ def numeric_argmin(p: SystemParams) -> float:
         dz = scale * (z2 - z1)
         return (ratio + dz) * p1 < 0.0
 
-    hi = ARGMIN_START
+    hi, tol = ARGMIN_START, ARGMIN_TOL
+    if scale > 1.0:  # in units of scale z* is in [2^498.5, 2^500.5), its ulp >= 2^446
+        hi, tol = math.ldexp(1.0, 500), math.ldexp(1.0, 448)
     while below(hi, hi / 2.0):
         hi *= 2.0
-    n_iter = int(math.ceil((math.log(ARGMIN_TOL / hi) - math.log(scale)) / math.log(_INV_PHI)))
+    n_iter = int(math.ceil(math.log(tol / hi) / math.log(_INV_PHI)))
     a, b, dist = 0.0, hi, hi
     c_pt, d_pt = _INV_PHI_SQ * dist, _INV_PHI * dist
     for _ in range(n_iter - 1):

@@ -12,8 +12,7 @@ order, into its own small reducer.  Memory therefore stays bounded by the
 block size.  The cost folds into episode totals.  The moment reducers keep
 running sums and sums of squares of shifted samples: ``estimate_cost`` can
 fold the transmission-conditional statistics in the same pass, four shifted
-rows of the transmit set (see ``_fold``), and ``stationarity_check`` folds
-each stage's costs for one O(H) F test across the stages.
+rows of the transmit set (see ``_fold``).
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ from .strategies import SystemParams, ThresholdAffineStrategy, payload_sign
 __all__ = [
     "CHUNK_STAGES",
     "MIN_TRANSMISSIONS",
-    "STATIONARITY_LEVEL",
     "EpisodeTrace",
     "MonteCarloEstimate",
     "ConditionalStats",
-    "StationarityReport",
     "run_episode",
     "estimate_cost",
     "estimate_conditional_stats",
-    "stationarity_check",
 ]
 
 # Stages per block: the kernel holds a few arrays of this length at a time.
@@ -46,9 +42,6 @@ __all__ = [
 CHUNK_STAGES = 1 << 12
 # The fewest transmissions that give transmission-conditional statistics.
 MIN_TRANSMISSIONS = 100
-# A stationarity check passes at an F test p-value of at least this: the
-# two-sided normal tail at 4 SE, the rate of every other check's rule.
-STATIONARITY_LEVEL = math.erfc(4 / math.sqrt(2))
 
 
 @dataclass(frozen=True)
@@ -382,60 +375,3 @@ def estimate_conditional_stats(
     transmissions; those statistics are then None and ``problem`` says why.
     """
     return _fold(p, strat, horizon, 1, rng, True)[1]
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """Per-stage mean costs and the one-way ANOVA F test of their equality."""
-
-    stage_means: tuple[MonteCarloEstimate, ...]
-    f_statistic: float
-    p_value: float
-    passed: bool
-
-
-def stationarity_check(
-    p: SystemParams,
-    strat: ThresholdAffineStrategy,
-    horizon: int,
-    n_episodes: int,
-    rng: RngHandle,
-) -> StationarityReport:
-    """Are per-stage mean costs statistically indistinguishable across stages?
-
-    Under a stationary strategy the stage costs are i.i.d. across time.  One-way
-    ANOVA of H stages of n costs, with nothing from the model, tests it:
-    F = [n·Σ(m_t - m̄)²/(H - 1)] / [Σ M2_t/(H·(n - 1))] on F(H - 1, H·(n - 1))
-    passes at a p-value of at least STATIONARITY_LEVEL.  Each stage's costs
-    are summed, and squared, less its mean over the block of episode 0.
-    """
-    horizon = int(horizon)
-    n_episodes = int(n_episodes)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if n_episodes < 2:
-        raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
-    shift, sums, squares = np.zeros((3, horizon))
-
-    def per_stage(b: _Block) -> None:
-        cost = _stage_cost(p, b)
-        cols = slice(b.c0, b.c1)
-        if b.r0 == 0:
-            shift[cols] = np.add.reduce(cost, axis=0) / cost.shape[0]
-        cost -= shift[cols]
-        sums[cols] += np.add.reduce(cost, axis=0)
-        squares[cols] += np.add.reduce(np.square(cost, out=cost), axis=0)
-
-    for _ in _simulate(p, strat, horizon, n_episodes, rng, per_stage):
-        pass
-    means = shift + sums / n_episodes
-    # as in _shifted_estimate: (s/n)·s, and an M2 that roundoff took below 0 is 0
-    m2 = np.maximum(squares - sums / n_episodes * sums, 0.0)
-    f_stat, p_value = 0.0, 1.0  # one stage is trivially stationary
-    if horizon > 1:
-        from scipy.special import fdtrc  # here: 270 ms to import, kept off `import remest`
-        between = n_episodes * float(np.sum(np.square(means - means.mean()))) / (horizon - 1)
-        f_stat = between / (float(np.sum(m2)) / (horizon * (n_episodes - 1)))
-        p_value = float(fdtrc(horizon - 1, horizon * (n_episodes - 1), f_stat))
-    return StationarityReport(tuple(_estimate(n_episodes, *stage) for stage in zip(means, m2)),
-                              f_stat, p_value, passed=p_value >= STATIONARITY_LEVEL)

@@ -1,11 +1,31 @@
-"""A deliberately nonstationary policy, the counterexample of the per-stage
-cost homogeneity (stationarity) check."""
+"""The per-stage cost homogeneity (stationarity) check, test side: the stage
+costs of the simulator's kernel, which a one-way ANOVA F test across the
+stages grades, and a deliberately nonstationary policy, the check's
+counterexample."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from remest import simulator
 from remest.strategies import ThresholdAffineStrategy
+
+# The F test passes at a p-value of at least this: the two-sided normal
+# tail at 4 SE, the rate of every other check's rule.
+STATIONARITY_LEVEL = math.erfc(4 / math.sqrt(2))
+
+
+def stage_costs(p, strat, horizon, n_episodes, rng) -> np.ndarray:
+    """The (episodes, horizon) stage costs, from the kernel's own blocks."""
+    costs = np.empty((n_episodes, horizon))
+
+    def keep(b):
+        costs[b.r0:b.r1, b.c0:b.c1] = simulator._stage_cost(p, b)
+
+    for _ in simulator._simulate(p, strat, horizon, n_episodes, rng, keep):
+        pass
+    return costs
 
 
 @dataclass(frozen=True)

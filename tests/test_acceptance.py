@@ -23,11 +23,10 @@ from remest.simulator import (
     MonteCarloEstimate,
     estimate_conditional_stats,
     run_episode,
-    stationarity_check,
 )
 from remest.strategies import SystemParams, ThresholdAffineStrategy
 
-from nonstationary import SwitchedThreshold
+from nonstationary import STATIONARITY_LEVEL, SwitchedThreshold, stage_costs
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -159,14 +158,15 @@ def test_criterion_06_end_to_end_cost_consistency():
 
 
 def test_criterion_07_stationarity():
+    # one-way ANOVA of the kernel's stage costs across the 10 stages
     optimal = ThresholdAffineStrategy(REF, BETA_STAR)
-    good = stationarity_check(REF, optimal, 10, 10**5, RngHandle(20240, 4))
+    good = stats.f_oneway(*stage_costs(REF, optimal, 10, 10**5, RngHandle(20240, 4)).T)
     switched = SwitchedThreshold(REF, BETA_STAR, switch_stage=5)
-    bad = stationarity_check(REF, switched, 10, 10**5, RngHandle(20240, 4))
-    passed = good.passed and not bad.passed
+    bad = stats.f_oneway(*stage_costs(REF, switched, 10, 10**5, RngHandle(20240, 4)).T)
+    passed = good.pvalue >= STATIONARITY_LEVEL > bad.pvalue
     _report(7, "stationarity", passed,
-            f"stationary F={good.f_statistic:.2f} (p={good.p_value:.2g}), "
-            f"counterexample F={bad.f_statistic:.1f} (p={bad.p_value:.2g})")
+            f"stationary F={good.statistic:.2f} (p={good.pvalue:.2g}), "
+            f"counterexample F={bad.statistic:.1f} (p={bad.pvalue:.2g})")
 
 
 def test_criterion_08_conditional_unbiasedness():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +255,27 @@ class TestNumericArgmin:
         assert math.isfinite(numeric)
         z_star = p.lam * formula
         assert p.lam * abs(numeric - formula) < max(1e-6, 8 * math.ulp(z_star)), numeric
+
+    @pytest.mark.parametrize("params", [(1.3e154, 1e10, 1.0, 1.7e308), (1e150, 2.0, 1.0, 1e10)],
+                             ids=("largest_z", "huge_tx_cost"))
+    def test_bounded_work_on_extreme_models(self, params):
+        # the search stops at a few ulps of z*, not at ARGMIN_TOL far below
+        # them: it compared f 2,015 and 1,281 times from ARGMIN_START
+        p = SystemParams(*params)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_name == "below"
+
+        sys.setprofile(count)
+        try:
+            numeric = numeric_argmin(p)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 150
+        z_star = p.lam * optimal_threshold(p)
+        assert p.lam * abs(numeric - optimal_threshold(p)) < max(1e-6, 8 * math.ulp(z_star))
 
     def test_threshold_beats_both_baselines(self):
         # J(beta*) <= J(0) and <= lim J(beta), and <= sampled betas

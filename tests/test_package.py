@@ -1,14 +1,18 @@
-"""The package's public names: each one a module or the package promises exists."""
+"""The package's promises: each public name exists, and each third-party
+import of its modules is a declared runtime dependency."""
 
 import ast
 import importlib
-import os
 import pkgutil
-import subprocess
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import remest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_public_name_resolves():
@@ -27,13 +31,20 @@ def test_every_public_name_resolves():
     assert not missing
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy.special alone takes about 270 ms to import, and a fresh
-    # `import remest.cli` is every command's start-up cost
-    src = str(Path(remest.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, remest, remest.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.strip() == "[]", done.stdout
+def test_runtime_imports_are_the_declared_dependencies():
+    # every third-party module that a module of src/remest imports, at its
+    # top or inside a function, is in [project] dependencies; scipy is a
+    # test dependency only
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    imported = set()
+    for path in (ROOT / "src" / "remest").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"remest"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower() for dep in project["dependencies"]}
+    assert "scipy" not in imported | declared
+    assert third_party <= declared, third_party - declared
