@@ -35,7 +35,6 @@ from .matching import (
 )
 from .simulator import (
     ConditionalStats,
-    EpisodeTrace,
     MonteCarloEstimate,
     estimate_conditional_stats,
     estimate_cost,

@@ -92,8 +92,9 @@ def optimal_threshold(p: SystemParams) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-# Below lam²·(c + m) = 2^1000 the golden-section search in z = lam·beta starts
-# from the bracket [0, ARGMIN_START] and stops when it is narrower than ARGMIN_TOL.
+# The golden-section search in z = lam·beta starts from a bracket [0, hi] with
+# hi >= ARGMIN_START and stops when it is narrower than ARGMIN_TOL, or than
+# 2 ulps of hi where those are wider.
 ARGMIN_START = 10.0
 ARGMIN_TOL = 1e-8
 
@@ -109,12 +110,11 @@ def numeric_argmin(p: SystemParams) -> float:
     underflows with e^(-z) nor cancels with P near a large minimizer.
     Deliberately independent of :func:`cost_derivative` and of the
     sqrt(c+m) formula, so it can serve as an oracle for both.  ``hi`` starts
-    at ARGMIN_START and doubles while f(hi) < f(hi/2); f is unimodal on
-    (0, inf), so the minimizer then lies below ``hi``.  Where lam²·(c + m)
-    passes 2^1000, z runs in units of ``scale``, the power of two that keeps
-    z² in the float range, and P in units of scale²; there ``hi`` starts at
-    2^500 and the search stops at a bracket of at most 4 ulps of z*, since
-    ARGMIN_TOL lies far below one.  Elsewhere ``scale`` is 1.
+    at ARGMIN_START, or at 2^(e-2) below z* >= 2^(e-1.5) where that is
+    larger, and doubles while f(hi) < f(hi/2); f is unimodal on (0, inf),
+    so the minimizer then lies below ``hi``.  Where lam²·(c + m) passes
+    2^1000, z runs in units of ``scale``, the power of two that keeps z² in
+    the float range, and P in units of scale².  Elsewhere ``scale`` is 1.
     """
     lam, c_m = p.lam, p.c + p.m
     e = (2 * math.frexp(lam)[1] + math.frexp(c_m)[1]) // 2  # z* lies in [2^(e-1.5), 2^(e+0.5))
@@ -132,11 +132,10 @@ def numeric_argmin(p: SystemParams) -> float:
         dz = scale * (z2 - z1)
         return (ratio + dz) * p1 < 0.0
 
-    hi, tol = ARGMIN_START, ARGMIN_TOL
-    if scale > 1.0:  # in units of scale z* is in [2^498.5, 2^500.5), its ulp >= 2^446
-        hi, tol = math.ldexp(1.0, 500), math.ldexp(1.0, 448)
+    hi = max(ARGMIN_START, math.ldexp(1.0, min(e, 500) - 2))  # 2^(e-2) in units of scale
     while below(hi, hi / 2.0):
         hi *= 2.0
+    tol = max(ARGMIN_TOL, 2.0 * math.ulp(hi))  # ARGMIN_TOL lies below the ulps of a large z*
     n_iter = int(math.ceil(math.log(tol / hi) / math.log(_INV_PHI)))
     a, b, dist = 0.0, hi, hi
     c_pt, d_pt = _INV_PHI_SQ * dist, _INV_PHI * dist

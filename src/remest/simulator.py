@@ -29,7 +29,6 @@ from .strategies import SystemParams, ThresholdAffineStrategy, payload_sign
 __all__ = [
     "CHUNK_STAGES",
     "MIN_TRANSMISSIONS",
-    "EpisodeTrace",
     "MonteCarloEstimate",
     "ConditionalStats",
     "run_episode",
@@ -86,45 +85,18 @@ def _estimate(n: int, mean, m2) -> MonteCarloEstimate:
     return MonteCarloEstimate(mean=float(mean), std_error=float(se), n=n)
 
 
-@dataclass(frozen=True, eq=False)
-class EpisodeTrace:
-    """Columnar record of one episode, an opt-in output for small horizons.
-
-    Payload columns (``y``, ``y_tilde``) hold NaN and the sign column holds 0
-    on silent stages.  ``total_cost`` is exactly
-    c·(#transmissions) + sum of squared errors.
-    """
-
-    horizon: int
-    x: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    y_tilde: np.ndarray
-    s: np.ndarray
-    x_hat: np.ndarray
-    stage_cost: np.ndarray
-    total_cost: float
-
-    @property
-    def n_transmissions(self) -> int:
-        return int(np.count_nonzero(self.u))
-
-
 class _Block(NamedTuple):
     """Episodes ``r0:r1``, stages ``c0+1..c1`` of each, after the policy ran:
-    (rows, stages) arrays ``x``, ``v`` and ``u``; the flat row-major indices
-    ``on`` of the transmitting entries and their source ``x_on``, noise
-    ``v_on``, payload ``y_on``, sign ``s_on`` and estimate ``xhat_on``.
-    Every other entry is estimated as 0."""
+    the (rows, stages) source ``x``; the flat row-major indices ``on`` of the
+    transmitting entries and their source ``x_on``, noise ``v_on``, payload
+    ``y_on``, sign ``s_on`` and estimate ``xhat_on``.  Every other entry is
+    estimated as 0."""
 
     r0: int
     r1: int
     c0: int
     c1: int
     x: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
     on: np.ndarray
     x_on: np.ndarray
     v_on: np.ndarray
@@ -165,11 +137,10 @@ def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_e
         sub = rng.substream(i)
         shape = (r1 - r0, c1 - c0)
         x = sample_laplace(source, sub, size=shape[0] * shape[1]).reshape(shape)
-        v = sample_gamma(noise, sub, size=x.size).reshape(shape)
-        u = np.asarray(strat.transmit(np.arange(c0 + 1, c1 + 1), x), dtype=bool)
-        # the policy runs on the transmit set only, gathered once
-        on = np.flatnonzero(u)
-        x_on, v_on = x.take(on), v.take(on)
+        on = np.flatnonzero(np.asarray(strat.transmit(np.arange(c0 + 1, c1 + 1), x), dtype=bool))
+        # the policy runs on the transmit set only, gathered once; the
+        # transmit rule draws nothing, so the noise still follows the source
+        x_on, v_on = x.take(on), sample_gamma(noise, sub, size=x.size).take(on)
         y_on = xhat_on = np.empty(0)
         s_on = np.empty(0, dtype=np.int8)
         if on.size:
@@ -177,8 +148,7 @@ def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_e
             y_on = np.asarray(strat.encode(t_on, x_on), dtype=np.float64)
             s_on = payload_sign(x_on)
             xhat_on = np.asarray(strat.decode(t_on, y_on + v_on, s_on), dtype=np.float64)
-        return reduce(_Block(r0, r1, c0, c1, x, v, u, on, x_on, v_on, y_on, s_on,
-                             xhat_on))
+        return reduce(_Block(r0, r1, c0, c1, x, on, x_on, v_on, y_on, s_on, xhat_on))
 
     for i, bounds in enumerate(_layout(horizon, int(n_episodes))):
         yield block(i, *bounds)
@@ -192,48 +162,25 @@ def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
 
 
 def run_episode(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int,
-                rng: RngHandle) -> EpisodeTrace:
-    """Simulate ``horizon`` i.i.d. stages under one strategy and keep every column.
+                rng: RngHandle) -> np.ndarray:
+    """The ``horizon`` stage costs c·u + (x - x_hat)² of one episode of
+    i.i.d. stages under one strategy, 8 bytes a stage.
 
-    Per stage: draw the source value, draw the channel noise, apply the
-    transmit rule, and on transmission send the encoded payload through the
-    additive channel alongside the sign on the side channel.  The episode
-    runs on the same blocks as the estimators, so it draws exactly what
-    ``estimate_conditional_stats`` draws from an identically keyed handle.
-    The trace holds about 50 bytes per stage; the estimators do not build it.
+    The episode runs on the same blocks as the estimators, so it draws
+    exactly what ``estimate_conditional_stats`` draws from an identically
+    keyed handle.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    x, v, x_hat, stage_cost = (np.empty(horizon) for _ in range(4))
-    y, y_tilde = np.full(horizon, np.nan), np.full(horizon, np.nan)
-    u = np.empty(horizon, dtype=bool)
-    s = np.zeros(horizon, dtype=np.int8)
+    costs = np.empty(horizon)
 
-    def record(b: _Block) -> None:
-        cols = slice(b.c0, b.c1)
-        x[cols], v[cols], u[cols], x_hat[cols] = b.x[0], b.v[0], b.u[0], 0.0
-        on = b.on + b.c0  # one row: flat indices are stage offsets
-        x_hat[on] = b.xhat_on
-        y[on] = b.y_on
-        y_tilde[on] = b.y_on + b.v_on
-        s[on] = b.s_on
-        stage_cost[cols] = _stage_cost(p, b)[0]
+    def keep(b: _Block) -> None:
+        costs[b.c0:b.c1] = _stage_cost(p, b)[0]
 
-    for _ in _simulate(p, strat, horizon, 1, rng, record):
+    for _ in _simulate(p, strat, horizon, 1, rng, keep):
         pass
-    return EpisodeTrace(
-        horizon=horizon,
-        x=x,
-        u=u,
-        y=y,
-        v=v,
-        y_tilde=y_tilde,
-        s=s,
-        x_hat=x_hat,
-        stage_cost=stage_cost,
-        total_cost=float(stage_cost.sum()),
-    )
+    return costs
 
 
 @dataclass(frozen=True)

@@ -145,8 +145,8 @@ def test_criterion_06_end_to_end_cost_consistency():
     detail = []
     for beta in betas:
         # identical handle key -> common random numbers across the three runs
-        trace = run_episode(REF, ThresholdAffineStrategy(REF, beta), 10**6, RngHandle(20240, 3))
-        est = MonteCarloEstimate.from_samples(trace.stage_cost)
+        est = MonteCarloEstimate.from_samples(
+            run_episode(REF, ThresholdAffineStrategy(REF, beta), 10**6, RngHandle(20240, 3)))
         target = cost_closed_form(REF, beta).total
         means.append(est.mean)
         all_within = all_within and est.covers(target, 4.0)
@@ -180,8 +180,8 @@ def test_criterion_08_conditional_unbiasedness():
 
 def test_criterion_09_baseline_identities():
     never = ThresholdAffineStrategy(REF, math.inf)
-    never_trace = run_episode(REF, never, 10**6, RngHandle(20240, 6))
-    never_est = MonteCarloEstimate.from_samples(never_trace.stage_cost)
+    never_est = MonteCarloEstimate.from_samples(run_episode(REF, never, 10**6,
+                                                            RngHandle(20240, 6)))
     never_ok = never_est.covers(2.0 / REF.lam**2, 4.0)
 
     always_exact = cost_closed_form(REF, 0.0).total == REF.c + REF.m

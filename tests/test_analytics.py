@@ -256,11 +256,13 @@ class TestNumericArgmin:
         z_star = p.lam * formula
         assert p.lam * abs(numeric - formula) < max(1e-6, 8 * math.ulp(z_star)), numeric
 
-    @pytest.mark.parametrize("params", [(1.3e154, 1e10, 1.0, 1.7e308), (1e150, 2.0, 1.0, 1e10)],
-                             ids=("largest_z", "huge_tx_cost"))
+    @pytest.mark.parametrize("params", [(1.3e154, 1e10, 1.0, 1.7e308), (1e150, 2.0, 1.0, 1e10),
+                                        (1.0, 2.0, 1.0, 1e300)],
+                             ids=("largest_z", "huge_tx_cost", "huge_c"))
     def test_bounded_work_on_extreme_models(self, params):
-        # the search stops at a few ulps of z*, not at ARGMIN_TOL far below
-        # them: it compared f 2,015 and 1,281 times from ARGMIN_START
+        # the doubling starts just below z* and the search stops at a few
+        # ulps of it, not at ARGMIN_TOL far below them: from ARGMIN_START it
+        # compared f 2,015, 1,281 and 1,255 times
         p = SystemParams(*params)
         calls = 0
 

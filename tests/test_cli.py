@@ -551,7 +551,7 @@ class TestOptimize:
     def test_argmin_is_graded_in_z(self, tmp_path, model):
         # at lambda = 1e-3 and 0.01 a gap of 1e-8 in z is 1e-5 and 1e-6 in
         # beta; at the third, z* = 506 and e^(-z) underflows to 0 inside the
-        # search's bracket [0, 1280]
+        # search's bracket [0, 1024]
         out = tmp_path / "opt.json"
         cfg = write_config(tmp_path / "cfg.json", horizon=200, episodes=10, out=str(out),
                            **dict(zip(("lambda", "k", "p_t", "c"), model)))

@@ -45,7 +45,7 @@ MUTANTS = {
         "analytics.py", "return (ratio + dz) * p1 < 0.0",
         "return math.exp(-z1) * p1 < math.exp(-z2) * p2",
         ["tests/test_analytics.py::TestNumericArgmin::"
-         "test_places_z_where_e_to_the_minus_z_underflows[16.0-1000.0]"]),
+         "test_places_z_where_e_to_the_minus_z_underflows[1.0-1000000.0]"]),
     # log(P1/P2) from the two rounded P, which cancel near a large z*
     "argmin-log-of-the-rounded-ratio": (
         "analytics.py",
@@ -97,6 +97,11 @@ MUTANTS = {
         "simulator.py", "total / n * total", "total * total / n",
         ["tests/test_simulator.py::TestConditionalFold::"
          "test_extreme_scale_with_a_one_sample_shift"]),
+    # the noise drawn ahead of the source, which moves both
+    "noise-before-source": (
+        "simulator.py", "x = sample_laplace(",
+        "sample_gamma(noise, sub, size=1); x = sample_laplace(",
+        ["tests/test_simulator.py::TestRunEpisode::test_block_i_draws_from_substream_i"]),
     "modulus-floor-1e-2": (
         "matching.py", "EMPIRICAL_MODULUS_FLOOR = 1e-3", "EMPIRICAL_MODULUS_FLOOR = 1e-2",
         ["tests/test_matching.py::TestEmpiricalModulusFloor::"

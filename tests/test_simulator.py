@@ -13,6 +13,7 @@ from remest.distributions import (
     sample_gamma,
     sample_laplace,
 )
+from remest import simulator
 from remest.simulator import (
     CHUNK_STAGES,
     MIN_TRANSMISSIONS,
@@ -68,51 +69,17 @@ class TestMonteCarloEstimate:
             assert math.isnan(est.z_score(0.0)), est
 
 
+def _kernel_blocks(p, strat, horizon, n_episodes, rng):
+    """The kernel's own blocks, in block order."""
+    return list(simulator._simulate(p, strat, horizon, n_episodes, rng, lambda b: b))
+
+
 class TestRunEpisode:
     def test_bitwise_reproducibility(self):
         a = run_episode(REF, OPTIMAL, 5_000, RngHandle(42, 7))
         b = run_episode(REF, OPTIMAL, 5_000, RngHandle(42, 7))
-        for field in ("x", "u", "y", "v", "y_tilde", "s", "x_hat", "stage_cost"):
-            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
-        assert a.total_cost == b.total_cost
-
-    def test_protocol_invariant(self):
-        tr = run_episode(REF, OPTIMAL, 10_000, RngHandle(1))
-        silent = ~tr.u
-        assert silent.any() and tr.u.any()
-        assert np.isnan(tr.y[silent]).all()
-        assert np.isnan(tr.y_tilde[silent]).all()
-        assert (tr.s[silent] == 0).all()
-        assert (tr.x_hat[silent] == 0.0).all()
-        assert np.isfinite(tr.y[tr.u]).all()
-        assert np.isfinite(tr.y_tilde[tr.u]).all()
-        assert np.isin(tr.s[tr.u], (-1, 1)).all()
-        # channel additivity where transmitting
-        np.testing.assert_allclose(tr.y_tilde[tr.u], tr.y[tr.u] + tr.v[tr.u], rtol=1e-15)
-        np.testing.assert_allclose(tr.stage_cost, REF.c * tr.u + (tr.x - tr.x_hat) ** 2,
-                                   rtol=1e-15)
-
-    def test_stage_view_maps_epsilon(self):
-        # Stage by stage, "no transmission" maps to NaN payloads and sign 0 in
-        # the columns.
-        tr = run_episode(REF, OPTIMAL, 200, RngHandle(2))
-        for field in ("x", "u", "y", "v", "y_tilde", "s", "x_hat", "stage_cost"):
-            assert getattr(tr, field).shape == (200,), field
-        saw_silent = saw_tx = False
-        for i in range(200):
-            if not tr.u[i]:
-                saw_silent = True
-                assert math.isnan(tr.y[i]) and math.isnan(tr.y_tilde[i])
-                assert tr.s[i] == 0
-                assert tr.x_hat[i] == 0.0
-            else:
-                saw_tx = True
-                assert tr.s[i] in (1, -1)
-                assert tr.y_tilde[i] == pytest.approx(tr.y[i] + tr.v[i])
-            assert tr.stage_cost[i] == pytest.approx(
-                REF.c * tr.u[i] + (tr.x[i] - tr.x_hat[i]) ** 2
-            )
-        assert saw_silent and saw_tx
+        assert a.dtype == np.float64 and a.shape == (5_000,)
+        assert np.array_equal(a, b)
 
     def test_policy_sees_only_transmitting_entries(self):
         seen = []
@@ -122,47 +89,53 @@ class TestRunEpisode:
                 seen.append(x)
                 return super().encode(t, x)
 
-        tr = run_episode(REF, Recording(REF, BETA_STAR), 2_000, RngHandle(2))
+        [block] = _kernel_blocks(REF, Recording(REF, BETA_STAR), 2_000, 1, RngHandle(2))
         assert len(seen) == 1
-        assert seen[0].size == tr.n_transmissions
+        assert np.array_equal(seen[0], block.x_on)
+        assert seen[0].size == np.count_nonzero(np.abs(block.x) > BETA_STAR)
         assert (np.abs(seen[0]) > BETA_STAR).all()
 
     def test_cost_decomposition(self):
-        tr = run_episode(REF, OPTIMAL, 50_000, RngHandle(3))
-        err_sq = (tr.x - tr.x_hat) ** 2
-        expected = REF.c * tr.n_transmissions + err_sq.sum()
-        assert tr.total_cost == pytest.approx(expected, rel=1e-12)
-        assert tr.total_cost == pytest.approx(tr.stage_cost.sum(), rel=0.0)
+        costs = run_episode(REF, OPTIMAL, 50_000, RngHandle(3))
+        expected = sum(REF.c * np.count_nonzero(u) + np.square(x - x_hat).sum()
+                       for _, _, _, x, _, u, x_hat, *_ in _reference_blocks(
+                           REF, OPTIMAL, 50_000, 1, RngHandle(3)))
+        assert costs.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_never_transmit_episode(self):
-        tr = run_episode(REF, NEVER, 5, RngHandle(4))
-        assert not tr.u.any()
-        assert (tr.x_hat == 0.0).all()
-        assert tr.total_cost == pytest.approx((tr.x**2).sum(), rel=1e-15)
-        assert np.isfinite(tr.v).all()  # noise still drawn and recorded
+        costs = run_episode(REF, NEVER, 5, RngHandle(4))
+        [block] = _kernel_blocks(REF, NEVER, 5, 1, RngHandle(4))
+        assert block.on.size == 0
+        assert np.array_equal(costs, np.square(block.x[0]))
 
     def test_always_transmit_fraction_is_one(self):
-        tr = run_episode(REF, ThresholdAffineStrategy(REF, 0.0), 1_000, RngHandle(5))
-        assert tr.n_transmissions == 1_000
+        blocks = _kernel_blocks(REF, ThresholdAffineStrategy(REF, 0.0), 1_000, 1, RngHandle(5))
+        assert sum(b.on.size for b in blocks) == 1_000
 
     def test_common_random_numbers_across_policies(self):
-        a = run_episode(REF, OPTIMAL, 1_000, RngHandle(6, 3))
-        b = run_episode(REF, ThresholdAffineStrategy(REF, 2.0), 1_000, RngHandle(6, 3))
+        # the noise is drawn on every stage, so the stages both policies
+        # transmit see the same noise
+        [a] = _kernel_blocks(REF, OPTIMAL, 1_000, 1, RngHandle(6, 3))
+        [b] = _kernel_blocks(REF, ThresholdAffineStrategy(REF, 2.0), 1_000, 1, RngHandle(6, 3))
         assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.v, b.v)
+        both, in_a, in_b = np.intersect1d(a.on, b.on, return_indices=True)
+        assert both.size > 0
+        assert np.array_equal(a.v_on[in_a], b.v_on[in_b])
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             run_episode(REF, OPTIMAL, 0, RngHandle(0))
 
     def test_block_i_draws_from_substream_i(self):
+        # the source first, then the noise of every stage
         rng = RngHandle(8, 2)
-        tr = run_episode(REF, OPTIMAL, CHUNK_STAGES + 5, rng)
-        source = LaplaceDist(1.0 / REF.lam)
-        assert np.array_equal(tr.x[:CHUNK_STAGES],
-                              sample_laplace(source, rng.substream(0), size=CHUNK_STAGES))
-        assert np.array_equal(tr.x[CHUNK_STAGES:],
-                              sample_laplace(source, rng.substream(1), size=5))
+        blocks = _kernel_blocks(REF, OPTIMAL, CHUNK_STAGES + 5, 1, rng)
+        source, noise = LaplaceDist(1.0 / REF.lam), GammaDist(REF.k, REF.theta)
+        assert len(blocks) == 2
+        for i, (block, size) in enumerate(zip(blocks, (CHUNK_STAGES, 5))):
+            sub = rng.substream(i)
+            assert np.array_equal(block.x[0], sample_laplace(source, sub, size=size))
+            assert np.array_equal(block.v_on, sample_gamma(noise, sub, size=size)[block.on])
 
 
 class TestEstimateCost:
@@ -188,7 +161,7 @@ class TestEstimateCost:
         rng = RngHandle(2025, 14)
         est = estimate_cost(REF, OPTIMAL, horizon, 2, rng)
         # a one-episode run on the same handle draws the first episode's blocks
-        first = run_episode(REF, OPTIMAL, horizon, rng).total_cost / horizon
+        first = run_episode(REF, OPTIMAL, horizon, rng).sum() / horizon
         second = 2.0 * est.mean - first
         np.testing.assert_allclose(est.std_error, abs(first - second) / 2.0, rtol=1e-9)
 
@@ -236,17 +209,7 @@ class TestConditionalStats:
         horizon = 3 * CHUNK_STAGES + 17
         rng = RngHandle(2025, 15)
         stats = estimate_conditional_stats(REF, OPTIMAL, horizon, rng)
-        tr = run_episode(REF, OPTIMAL, horizon, rng)
-        on = tr.u
-        err = tr.x_hat[on] - tr.x[on]
-        expected = {
-            "mse_tx": err**2,
-            "mse_tx_pos": err[tr.s[on] == 1] ** 2,
-            "mse_tx_neg": err[tr.s[on] == -1] ** 2,
-            "power": tr.y[on] ** 2,
-            "tx_frequency": on,
-            "bias_tx": err,
-        }
+        expected = _transmit_set_samples(REF, OPTIMAL, horizon, 1, rng)
         for name, samples in expected.items():
             got = getattr(stats, name)
             want = MonteCarloEstimate.from_samples(samples)
@@ -322,6 +285,12 @@ class TestBoundedMemory:
         assert large <= small + self.SLACK, (small, large)
         # and far below the 2^20 * 8 bytes of a single float column
         assert large < 2**20
+
+    def test_run_episode(self):
+        # the episode's stage costs, 8 bytes a stage, and a few blocks
+        stages = 2**20
+        peak = self._peak(lambda: run_episode(REF, OPTIMAL, stages, RngHandle(6)))
+        assert peak <= 8 * stages + 256 * 1024, peak
 
 
 def _reference_blocks(p, strat, horizon, n_episodes, rng):
@@ -403,8 +372,8 @@ def _reference_conditional(blocks):
 
 class TestTransmitSetKernel:
     """The kernel runs the policy on the transmit set only; every estimator
-    and every trace column equals, bit for bit, what the plain full-array
-    kernel gives on the same draws."""
+    and the episode's stage costs equal, bit for bit, what the plain
+    full-array kernel gives on the same draws."""
 
     CASES = {
         "optimal": OPTIMAL,
@@ -474,26 +443,12 @@ class TestTransmitSetKernel:
     def test_run_episode_columns(self, case):
         strat, horizon, episodes = case
         stages = horizon * episodes
-        want = {"x": np.empty(stages), "v": np.empty(stages), "u": np.empty(stages, dtype=bool),
-                "x_hat": np.empty(stages), "stage_cost": np.empty(stages),
-                "y": np.full(stages, np.nan), "y_tilde": np.full(stages, np.nan),
-                "s": np.zeros(stages, dtype=np.int8)}
-        for _, _, c0, x, v, u, x_hat, y_on, s_on, cost in _reference_blocks(
-                REF, strat, stages, 1, RngHandle(34)):
-            cols = slice(c0, c0 + x.shape[1])
-            for name, block in (("x", x), ("v", v), ("u", u), ("x_hat", x_hat),
-                                ("stage_cost", cost)):
-                want[name][cols] = block[0]
-            on = np.flatnonzero(u[0]) + c0
-            want["y"][on] = y_on
-            want["y_tilde"][on] = y_on + v[u]
-            want["s"][on] = s_on
-        tr = run_episode(REF, strat, stages, RngHandle(34))
-        for name, column in want.items():
-            got = getattr(tr, name)
-            assert got.dtype == column.dtype, name
-            assert np.array_equal(got, column, equal_nan=True), name
-        assert tr.total_cost == float(want["stage_cost"].sum())
+        want = np.empty(stages)
+        for _, _, c0, *_, cost in _reference_blocks(REF, strat, stages, 1, RngHandle(34)):
+            want[c0:c0 + cost.shape[1]] = cost[0]
+        got = run_episode(REF, strat, stages, RngHandle(34))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def _transmitting(rule, p=REF):
@@ -626,7 +581,7 @@ class TestConditionalFold:
         # below -beta as many as ``negatives``; the draws do not depend on
         # the policy, so a silent run shows where those stages are
         rng = RngHandle(44)
-        x = run_episode(REF, NEVER, 5_000, rng).x
+        x = np.concatenate([b.x[0] for b in _kernel_blocks(REF, NEVER, 5_000, 1, rng)])
         stages = 1 + np.flatnonzero(x < -BETA_STAR)[:negatives]
         strat = _transmitting(lambda t, x: (x > BETA_STAR) | np.isin(t, stages))
         stats = estimate_conditional_stats(REF, strat, 5_000, rng)
