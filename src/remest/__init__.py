@@ -11,7 +11,6 @@ and a reproducible Monte Carlo simulator that ties everything together.
 from .analytics import (
     CostBreakdown,
     cost_closed_form,
-    cost_derivative,
     numeric_argmin,
     optimal_threshold,
 )
@@ -34,7 +33,6 @@ from .matching import (
     pair,
 )
 from .simulator import (
-    ConditionalStats,
     MonteCarloEstimate,
     estimate_conditional_stats,
     estimate_cost,

@@ -1,9 +1,8 @@
 """Every closed form of the model: the expected stage cost of a threshold
 policy with the matched or the noise-blind affine coder and its error given
-a transmission, the cost's derivative in the threshold, the optimal
-threshold sqrt(c + m), and a golden-section minimizer in z = lam·beta used
-as an independent numerical cross-check.  Each command takes its targets
-from here.
+a transmission, the optimal threshold sqrt(c + m), and a golden-section
+minimizer in z = lam·beta used as an independent numerical cross-check.
+Each command takes its targets from here.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "ARGMIN_TOL",
     "CostBreakdown",
     "cost_closed_form",
-    "cost_derivative",
     "optimal_threshold",
     "numeric_argmin",
 ]
@@ -72,19 +70,6 @@ def cost_closed_form(p: SystemParams, beta: float, matched: bool = True) -> Cost
     return CostBreakdown(est_no_tx + comm + est_tx, comm, est_no_tx, est_tx, tx_prob, mse_tx)
 
 
-def cost_derivative(p: SystemParams, beta: float) -> float:
-    """d(total)/d(beta) = lam·e^(-lam·beta)·(beta² - (c + m)).
-
-    Negative below sqrt(c + m), zero there, positive above: the expected
-    cost is strictly unimodal in the threshold.
-    """
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-    rate = p.lam * math.exp(-p.lam * beta)
-    # rate·beta = z·e^(-z) <= 1/e, so this is finite where beta² is not
-    return rate * beta * beta - rate * (p.c + p.m)
-
-
 def optimal_threshold(p: SystemParams) -> float:
     """The unique cost-minimizing threshold sqrt(c + m)."""
     return math.sqrt(p.c + p.m)
@@ -108,8 +93,8 @@ def numeric_argmin(p: SystemParams) -> float:
     be lost to rounding.  Two values of f are compared by the signs of P and
     log(f(z1)/f(z2)) = log1p((P(z1) - P(z2))/P(z2)) + z2 - z1, which neither
     underflows with e^(-z) nor cancels with P near a large minimizer.
-    Deliberately independent of :func:`cost_derivative` and of the
-    sqrt(c+m) formula, so it can serve as an oracle for both.  ``hi`` starts
+    Deliberately independent of the sqrt(c+m) formula and of the cost's
+    derivative, so it can serve as an oracle for both.  ``hi`` starts
     at ARGMIN_START, or at 2^(e-2) below z* >= 2^(e-1.5) where that is
     larger, and doubles while f(hi) < f(hi/2); f is unimodal on (0, inf),
     so the minimizer then lies below ``hi``.  Where lam²·(c + m) passes

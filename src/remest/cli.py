@@ -300,16 +300,16 @@ def cmd_simulate(cfg: dict) -> dict:
     strat = strategies.ThresholdAffineStrategy(p, beta, matched)
     run = (p, strat, cfg["horizon"], cfg["episodes"], RngHandle(cfg["seed"], cfg["stream"]))
     if math.isinf(beta):  # no stage transmits, so there are no conditional rows
-        cost, stats, targets = simulator.estimate_cost(*run), None, {}
+        cost, rows, targets = simulator.estimate_cost(*run), {}, {}
     else:
         # one pass: the conditional rows pool the stages of the cost episodes
-        cost, stats = simulator.estimate_cost(*run, conditional=True)
-        if stats.problem is not None:
-            print(f"error: {stats.problem}", file=sys.stderr)
+        cost, rows, problem = simulator.estimate_cost(*run, conditional=True)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
         targets = {"mse_tx": law.mse_tx, "mse_tx_pos": law.mse_tx, "mse_tx_neg": law.mse_tx,
                    "power": p.p_t, "tx_frequency": law.tx_prob, "bias_tx": 0.0}
     checks = [_mc_check("per_stage_cost", cost, law.total)]
-    checks += [_mc_check(key, getattr(stats, key), target) for key, target in targets.items()]
+    checks += [_mc_check(key, rows[key], target) for key, target in targets.items()]
     return _report("simulate", cfg, checks, derived={**_derived_block(p), "beta": beta})
 
 

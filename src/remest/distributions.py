@@ -58,10 +58,6 @@ class LaplaceDist:
     def mean(self) -> float:
         return 0.0
 
-    @property
-    def variance(self) -> float:
-        return 2.0 * self.scale**2
-
 
 @dataclass(frozen=True)
 class ExponentialDist:
@@ -75,10 +71,6 @@ class ExponentialDist:
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    @property
-    def variance(self) -> float:
-        return 1.0 / self.rate**2
 
 
 @dataclass(frozen=True)
@@ -95,10 +87,6 @@ class GammaDist:
     @property
     def mean(self) -> float:
         return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale**2
 
 
 # Exclusive upper bound of every RngHandle key entry (seed, stream, path).

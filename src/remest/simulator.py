@@ -12,7 +12,8 @@ order, into its own small reducer.  Memory therefore stays bounded by the
 block size.  The cost folds into episode totals.  The moment reducers keep
 running sums and sums of squares of shifted samples: ``estimate_cost`` can
 fold the transmission-conditional statistics in the same pass, four shifted
-rows of the transmit set (see ``_fold``).
+rows of the transmit set that ``CONDITIONAL_ROWS`` pools into its metrics
+(see ``_fold``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "CHUNK_STAGES",
     "MIN_TRANSMISSIONS",
     "MonteCarloEstimate",
-    "ConditionalStats",
+    "CONDITIONAL_ROWS",
     "run_episode",
     "estimate_cost",
     "estimate_conditional_stats",
@@ -41,6 +42,16 @@ __all__ = [
 CHUNK_STAGES = 1 << 12
 # The fewest transmissions that give transmission-conditional statistics.
 MIN_TRANSMISSIONS = 100
+# metric: (the rows of ``_fold``'s shifted array that it pools, the
+# transmissions it counts).  The rows are 0 err, 1 y², 2 err²·1{s < 0} and
+# 3 err²·1{s > 0}; ``tx_frequency`` comes from the exact count instead.
+CONDITIONAL_ROWS = {
+    "mse_tx": ((2, 3), "all"),
+    "mse_tx_pos": ((3,), "pos"),
+    "mse_tx_neg": ((2,), "neg"),
+    "power": ((1,), "all"),
+    "bias_tx": ((0,), "all"),
+}
 
 
 @dataclass(frozen=True)
@@ -183,23 +194,6 @@ def run_episode(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int,
     return costs
 
 
-@dataclass(frozen=True)
-class ConditionalStats:
-    """Monte Carlo estimates conditioned on transmission.
-
-    A statistic that cannot be estimated is None, and ``problem`` says why.
-    """
-
-    mse_tx: MonteCarloEstimate | None
-    mse_tx_pos: MonteCarloEstimate | None
-    mse_tx_neg: MonteCarloEstimate | None
-    power: MonteCarloEstimate | None
-    tx_frequency: MonteCarloEstimate | None
-    bias_tx: MonteCarloEstimate | None
-    n_transmissions: int
-    problem: str | None = None
-
-
 def _shifted_estimate(n: int, shift: float, total: float,
                       squares: float) -> MonteCarloEstimate | None:
     """The estimate of ``n`` samples, or None below 2, from the sum and the
@@ -214,17 +208,18 @@ def _shifted_estimate(n: int, shift: float, total: float,
 def _fold(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episodes: int,
           rng: RngHandle, conditional: bool):
     """One pass over the blocks: the episode totals and, with ``conditional``,
-    the ConditionalStats of the same stages (else None).
+    the ``{metric: estimate or None}`` of the same stages and the reason a
+    metric is None, else None and None.
 
     The conditional reducer writes the rows err, y², err²·1{s < 0} and
     err²·1{s > 0} of a block's transmit set, with err = x_hat - x, into one
     array, less a shift: the means of err, y² and err² over the first
     transmitting block.  It keeps running totals of the row sums and the row
     sums of squares, and the counts of transmissions and of positive ones;
-    err² over both branches is the sum of the two branch rows.  Shifted sums
-    keep the cancellation in M2 = Σd² - (Σd)²/n as small as the shift is
-    close to the mean (Chan, Golub & LeVeque 1979, §2), and each row's sum
-    of squares overflows only where its M2 does.
+    each metric of ``CONDITIONAL_ROWS`` adds the totals of its rows.  Shifted
+    sums keep the cancellation in M2 = Σd² - (Σd)²/n as small as the shift
+    is close to the mean (Chan, Golub & LeVeque 1979, §2), and each row's
+    sum of squares overflows only where its M2 does.
     """
     totals = np.zeros(n_episodes)
     n_tx = n_pos = 0  # transmissions, positive ones
@@ -254,29 +249,23 @@ def _fold(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episo
     for r0, r1, part in _simulate(p, strat, horizon, n_episodes, rng, reduce):
         totals[r0:r1] += part
     if not conditional:
-        return totals, None
+        return totals, None, None
     # tx_frequency from the exact count k: mean k/n, M2 = k(n - k)/n
     n = int(horizon) * n_episodes
-    freq = _estimate(n, n_tx / n, n_tx * (n - n_tx) / n)
+    rows = dict.fromkeys(CONDITIONAL_ROWS)
+    rows["tx_frequency"] = _estimate(n, n_tx / n, n_tx * (n - n_tx) / n)
     if n_tx < MIN_TRANSMISSIONS:
-        problem = (f"only {n_tx} transmissions in {n} stages; "
-                   f"need at least {MIN_TRANSMISSIONS} for conditional statistics")
-        return totals, ConditionalStats(None, None, None, None, freq, None, n_tx, problem)
-    (s_err, s_y2, s_neg, s_pos), (q_err, q_y2, q_neg, q_pos) = sums
-    k_err, k_y2, k_sq = shift[:, 0]
+        return totals, rows, (f"only {n_tx} transmissions in {n} stages; "
+                              f"need at least {MIN_TRANSMISSIONS} for conditional statistics")
+    counts = {"all": n_tx, "pos": n_pos, "neg": n_tx - n_pos}
+    shifts = (*shift[:, 0], shift[2, 0])  # the two err² rows share a shift
+    for metric, (pooled, counted) in CONDITIONAL_ROWS.items():
+        total, squares = np.add.reduce(sums[:, pooled], axis=1)
+        rows[metric] = _shifted_estimate(counts[counted], shifts[pooled[0]], total, squares)
     problem = None
     if n_pos < 2 or n_tx - n_pos < 2:
         problem = "a sign branch has fewer than 2 transmissions"
-    return totals, ConditionalStats(
-        mse_tx=_shifted_estimate(n_tx, k_sq, s_neg + s_pos, q_neg + q_pos),
-        mse_tx_pos=_shifted_estimate(n_pos, k_sq, s_pos, q_pos),
-        mse_tx_neg=_shifted_estimate(n_tx - n_pos, k_sq, s_neg, q_neg),
-        power=_shifted_estimate(n_tx, k_y2, s_y2, q_y2),
-        tx_frequency=freq,
-        bias_tx=_shifted_estimate(n_tx, k_err, s_err, q_err),
-        n_transmissions=n_tx,
-        problem=problem,
-    )
+    return totals, rows, problem
 
 
 def estimate_cost(
@@ -286,7 +275,7 @@ def estimate_cost(
     n_episodes: int,
     rng: RngHandle,
     conditional: bool = False,
-) -> MonteCarloEstimate | tuple[MonteCarloEstimate, ConditionalStats]:
+) -> MonteCarloEstimate | tuple[MonteCarloEstimate, dict, str | None]:
     """Mean per-stage cost across independent episodes.
 
     Block i always runs on ``rng.substream(i)`` and episode totals are
@@ -294,15 +283,16 @@ def estimate_cost(
     handle and the same shape reuse identical draws (the
     common-random-numbers hook for strategy comparisons).  Memory is
     O(block + episodes).  With ``conditional`` the call returns
-    ``(cost, ConditionalStats)``, both from the blocks of one pass, and the
+    ``(cost, rows, problem)``, the conditional rows and reason of
+    ``estimate_conditional_stats`` from the blocks of the same pass, and the
     cost is the one the call without it returns.
     """
     n_episodes = int(n_episodes)
     if n_episodes < 2:
         raise ValueError(f"n_episodes must be >= 2, got {n_episodes}")
-    totals, stats = _fold(p, strat, horizon, n_episodes, rng, conditional)
+    totals, rows, problem = _fold(p, strat, horizon, n_episodes, rng, conditional)
     cost = MonteCarloEstimate.from_samples(totals / int(horizon))
-    return (cost, stats) if conditional else cost
+    return (cost, rows, problem) if conditional else cost
 
 
 def estimate_conditional_stats(
@@ -310,15 +300,12 @@ def estimate_conditional_stats(
     strat: ThresholdAffineStrategy,
     horizon: int,
     rng: RngHandle,
-) -> ConditionalStats:
-    """Transmission-conditional statistics from one long episode.
-
-    Returns estimates of the conditional squared error (overall and per sign
-    branch), the conditional payload power E[Y²|U=1], the transmit frequency,
-    and the conditional estimator bias E[x_hat - x | U=1], each reduced
-    block by block into shifted sums and sums of squares.  With fewer than
-    MIN_TRANSMISSIONS transmissions the transmission-conditional
-    statistics cannot be estimated, nor can a sign branch with fewer than 2
-    transmissions; those statistics are then None and ``problem`` says why.
+) -> tuple[dict[str, MonteCarloEstimate | None], str | None]:
+    """The transmission-conditional rows of one long episode and the reason
+    a row is None (else None): ``tx_frequency`` and each metric of
+    ``CONDITIONAL_ROWS``, the conditional squared error overall and per sign
+    branch, the payload power E[Y²|U=1] and the bias E[x_hat - x | U=1].
+    With fewer than MIN_TRANSMISSIONS transmissions every metric but
+    ``tx_frequency`` is None, and so is a sign branch with fewer than 2.
     """
-    return _fold(p, strat, horizon, 1, rng, True)[1]
+    return _fold(p, strat, horizon, 1, rng, True)[1:]

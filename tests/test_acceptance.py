@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from remest.analytics import (
     cost_closed_form,
-    cost_derivative,
     numeric_argmin,
     optimal_threshold,
 )
@@ -27,6 +26,7 @@ from remest.simulator import (
 from remest.strategies import SystemParams, ThresholdAffineStrategy
 
 from nonstationary import STATIONARITY_LEVEL, SwitchedThreshold, stage_costs
+from oracles import cost_derivative
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR = optimal_threshold(REF)
@@ -65,20 +65,20 @@ def test_criterion_01_matching_condition():
 
 def test_criterion_02_conditional_mse_per_sign():
     start = time.monotonic()
-    stats = estimate_conditional_stats(
+    rows, _ = estimate_conditional_stats(
         REF, ThresholdAffineStrategy(REF, BETA_STAR), 10**6, RngHandle(20240, 1)
     )
     elapsed = time.monotonic() - start
-    z_pos = stats.mse_tx_pos.z_score(REF.m)
-    z_neg = stats.mse_tx_neg.z_score(REF.m)
+    z_pos = rows["mse_tx_pos"].z_score(REF.m)
+    z_neg = rows["mse_tx_neg"].z_score(REF.m)
     passed = (
-        stats.mse_tx_pos.covers(REF.m, 4.0)
-        and stats.mse_tx_neg.covers(REF.m, 4.0)
+        rows["mse_tx_pos"].covers(REF.m, 4.0)
+        and rows["mse_tx_neg"].covers(REF.m, 4.0)
         and elapsed < 30.0
     )
     _report(2, "conditional MSE per sign", passed,
             f"z_pos={z_pos:.2f}, z_neg={z_neg:.2f}, "
-            f"n_tx={stats.n_transmissions}, t={elapsed:.1f}s")
+            f"n_tx={rows['mse_tx'].n}, t={elapsed:.1f}s")
 
 
 def test_criterion_03_power_equality_across_sweep():
@@ -88,8 +88,8 @@ def test_criterion_03_power_equality_across_sweep():
     worst_z = 0.0
     for i, p in enumerate(SWEEP_PARAMS):
         strat = ThresholdAffineStrategy(p, optimal_threshold(p))
-        stats = estimate_conditional_stats(p, strat, 4 * 10**5, RngHandle(20240, 2, (i,)))
-        worst_z = max(worst_z, abs(stats.power.z_score(p.p_t)))
+        rows, _ = estimate_conditional_stats(p, strat, 4 * 10**5, RngHandle(20240, 2, (i,)))
+        worst_z = max(worst_z, abs(rows["power"].z_score(p.p_t)))
     passed = worst_z < 4.0
     _report(3, "power constraint equality on sweep grid", passed,
             f"max |z| over {len(SWEEP_PARAMS)} points = {worst_z:.2f}")
@@ -170,11 +170,11 @@ def test_criterion_07_stationarity():
 
 
 def test_criterion_08_conditional_unbiasedness():
-    stats = estimate_conditional_stats(
+    rows, _ = estimate_conditional_stats(
         REF, ThresholdAffineStrategy(REF, BETA_STAR), 10**6, RngHandle(20240, 5)
     )
-    z = stats.bias_tx.z_score(0.0)
-    passed = stats.bias_tx.covers(0.0, 4.0)
+    z = rows["bias_tx"].z_score(0.0)
+    passed = rows["bias_tx"].covers(0.0, 4.0)
     _report(8, "conditional unbiasedness", passed, f"bias z={z:.2f}")
 
 
@@ -187,9 +187,9 @@ def test_criterion_09_baseline_identities():
     always_exact = cost_closed_form(REF, 0.0).total == REF.c + REF.m
 
     blind = ThresholdAffineStrategy(REF, BETA_STAR, matched=False)
-    blind_stats = estimate_conditional_stats(REF, blind, 10**6, RngHandle(20240, 7))
-    blind_excess = blind_stats.mse_tx.mean - REF.m
-    blind_ok = blind_excess > 4.0 * blind_stats.mse_tx.std_error
+    blind_rows, _ = estimate_conditional_stats(REF, blind, 10**6, RngHandle(20240, 7))
+    blind_excess = blind_rows["mse_tx"].mean - REF.m
+    blind_ok = blind_excess > 4.0 * blind_rows["mse_tx"].std_error
 
     passed = never_ok and always_exact and blind_ok
     _report(9, "baseline identities", passed,

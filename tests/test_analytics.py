@@ -11,11 +11,12 @@ from scipy.special import roots_genlaguerre, roots_laguerre
 from remest.analytics import (
     ARGMIN_START,
     cost_closed_form,
-    cost_derivative,
     numeric_argmin,
     optimal_threshold,
 )
 from remest.strategies import SystemParams, ThresholdAffineStrategy
+
+from oracles import cost_derivative
 
 REF = SystemParams(lam=1.0, k=2.0, p_t=1.0, c=1.0)
 BETA_STAR_REF = 1.2909944487358056  # sqrt(5/3)

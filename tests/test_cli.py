@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -36,6 +37,17 @@ def write_config(path, **fields):
     cfg = {"schema_version": 1, **REF_PARAMS, **fields}
     path.write_text(json.dumps(cfg))
     return path
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded from its file as ``test_bench_gate.py`` loads it."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    if spec.name not in sys.modules:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[spec.name]
 
 
 class TestSimulate:
@@ -86,6 +98,20 @@ class TestSimulate:
                                matched=False)
         assert rows["per_stage_cost"]["target"] == law.total
         assert (rows["power"]["target"], rows["bias_tx"]["target"]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("strategy, beta", [("optimal", None), ("threshold", 1.0),
+                                                ("always", None), ("noise_blind", None),
+                                                ("never", None)])
+    def test_checks_are_in_the_order_the_benchmark_gate_reads(self, tmp_path, strategy, beta):
+        # the golden digests pin this order only on their own numpy and CPU key
+        cfg = write_config(tmp_path / "cfg.json", strategy=strategy, beta=beta,
+                           horizon=2_000, episodes=10, seed=7,
+                           out=str(tmp_path / "report.json"))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        metrics = tuple(row["metric"] for row in report["checks"])
+        want = bench_workloads().SIMULATE_CHECKS if strategy != "never" else ("per_stage_cost",)
+        assert metrics == want
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"

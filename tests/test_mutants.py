@@ -88,10 +88,15 @@ MUTANTS = {
     # the negative branch as the total less the positive one, whose pooled
     # sum of squares overflows where the branch's own does not
     "fold-total-less-positive": (
-        "simulator.py", "_shifted_estimate(n_tx - n_pos, k_sq, s_neg, q_neg)",
-        "_shifted_estimate(n_tx - n_pos, k_sq, (s_neg + s_pos) - s_pos, (q_neg + q_pos) - q_pos)",
+        "simulator.py", "total, squares = np.add.reduce(sums[:, pooled], axis=1)",
+        "total, squares = (sums[:, 2] + sums[:, 3]) - sums[:, 3] if pooled == (2,) "
+        "else np.add.reduce(sums[:, pooled], axis=1)",
         ["tests/test_simulator.py::TestConditionalFold::"
          "test_extreme_scale_overflows_where_each_rows_m2_does[80-finite1]"]),
+    # the positive branch's MSE pooled from the negative branch's err² row
+    "table-sign-rows-swapped": (
+        "simulator.py", '"mse_tx_pos": ((3,), "pos")', '"mse_tx_pos": ((2,), "pos")',
+        ["tests/test_simulator.py::TestConditionalFold::test_matches_fsum_moments[optimal]"]),
     # (s·s)/n, where s² overflows and the sum of squares does not
     "fold-s-squared-over-n": (
         "simulator.py", "total / n * total", "total * total / n",
