@@ -54,10 +54,6 @@ class LaplaceDist:
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
 
-    @property
-    def mean(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ExponentialDist:

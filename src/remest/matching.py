@@ -57,7 +57,7 @@ _SAMPLERS = {
 class Pair(NamedTuple):
     """A source law and a noise law, with the gains of the identity
     source_cf(alpha·w) = noise_cf(w)^gamma.  With ``centered`` both laws
-    are taken less their means."""
+    are taken less their means; a Laplace source, of mean 0, never is."""
 
     source: ExponentialDist | LaplaceDist
     noise: GammaDist

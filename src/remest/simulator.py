@@ -7,13 +7,13 @@ Every estimator runs on one kernel: the episodes x horizon stages are cut
 into blocks of at most ``CHUNK_STAGES`` stages (whole episode rows, or a
 column piece of one episode when the horizon is longer than a block), block
 i draws its source and noise from ``rng.substream(i)``, the policy is
-applied once per block, and each estimator folds the blocks, in block
-order, into its own small reducer.  Memory therefore stays bounded by the
-block size.  The cost folds into episode totals.  The moment reducers keep
-running sums and sums of squares of shifted samples: ``estimate_cost`` can
-fold the transmission-conditional statistics in the same pass, four shifted
-rows of the transmit set that ``CONDITIONAL_ROWS`` pools into its metrics
-(see ``_fold``).
+applied once per block, and the kernel hands each block's stage costs and
+its transmit set's error x_hat - x to one visitor, in block order.  Memory
+therefore stays bounded by the block size.  The cost folds into episode
+totals.  The moment reducers keep running sums and sums of squares of
+shifted samples: ``estimate_cost`` can fold the transmission-conditional
+statistics in the same pass, four shifted rows of the transmit set that
+``CONDITIONAL_ROWS`` pools into its metrics (see ``_fold``).
 """
 
 from __future__ import annotations
@@ -98,22 +98,20 @@ def _estimate(n: int, mean, m2) -> MonteCarloEstimate:
 
 class _Block(NamedTuple):
     """Episodes ``r0:r1``, stages ``c0+1..c1`` of each, after the policy ran:
-    the (rows, stages) source ``x``; the flat row-major indices ``on`` of the
-    transmitting entries and their source ``x_on``, noise ``v_on``, payload
-    ``y_on``, sign ``s_on`` and estimate ``xhat_on``.  Every other entry is
-    estimated as 0."""
+    the (rows, stages) stage costs c·u + (x - x_hat)² ``cost``; the flat
+    row-major indices ``on`` of the transmitting entries and their error
+    ``err_on`` = x_hat - x, payload ``y_on`` and sign ``s_on``.  Every other
+    entry is estimated as 0, so its cost is x²."""
 
     r0: int
     r1: int
     c0: int
     c1: int
-    x: np.ndarray
+    cost: np.ndarray
     on: np.ndarray
-    x_on: np.ndarray
-    v_on: np.ndarray
+    err_on: np.ndarray
     y_on: np.ndarray
     s_on: np.ndarray
-    xhat_on: np.ndarray
 
 
 def _layout(horizon: int, n_episodes: int):
@@ -129,8 +127,8 @@ def _layout(horizon: int, n_episodes: int):
 
 
 def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episodes: int,
-              rng: RngHandle, reduce):
-    """Yield ``reduce(block)`` for every block, in block order.
+              rng: RngHandle, visit) -> None:
+    """Call ``visit(block)`` for every block, in block order.
 
     Block i draws the source and then the channel noise from
     ``rng.substream(i)``; the noise is drawn whether or not a stage
@@ -152,24 +150,19 @@ def _simulate(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_e
         # the policy runs on the transmit set only, gathered once; the
         # transmit rule draws nothing, so the noise still follows the source
         x_on, v_on = x.take(on), sample_gamma(noise, sub, size=x.size).take(on)
-        y_on = xhat_on = np.empty(0)
+        y_on = err_on = np.empty(0)
         s_on = np.empty(0, dtype=np.int8)
         if on.size:
             t_on = on % shape[1] + (c0 + 1)
             y_on = np.asarray(strat.encode(t_on, x_on), dtype=np.float64)
             s_on = payload_sign(x_on)
-            xhat_on = np.asarray(strat.decode(t_on, y_on + v_on, s_on), dtype=np.float64)
-        return reduce(_Block(r0, r1, c0, c1, x, on, x_on, v_on, y_on, s_on, xhat_on))
+            err_on = strat.decode(t_on, y_on + v_on, s_on) - x_on
+        cost = np.square(x, out=x)  # in place: x is not read again
+        np.put(cost, on, np.square(err_on) + p.c)
+        visit(_Block(r0, r1, c0, c1, cost, on, err_on, y_on, s_on))
 
     for i, bounds in enumerate(_layout(horizon, int(n_episodes))):
-        yield block(i, *bounds)
-
-
-def _stage_cost(p: SystemParams, b: _Block) -> np.ndarray:
-    """c·u + (x - x_hat)² of every entry of the block, in a new array."""
-    cost = np.square(b.x)
-    np.put(cost, b.on, np.square(b.x_on - b.xhat_on) + p.c)
-    return cost
+        block(i, *bounds)
 
 
 def run_episode(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int,
@@ -187,10 +180,9 @@ def run_episode(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int,
     costs = np.empty(horizon)
 
     def keep(b: _Block) -> None:
-        costs[b.c0:b.c1] = _stage_cost(p, b)[0]
+        costs[b.c0:b.c1] = b.cost[0]
 
-    for _ in _simulate(p, strat, horizon, 1, rng, keep):
-        pass
+    _simulate(p, strat, horizon, 1, rng, keep)
     return costs
 
 
@@ -211,29 +203,30 @@ def _fold(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episo
     the ``{metric: estimate or None}`` of the same stages and the reason a
     metric is None, else None and None.
 
-    The conditional reducer writes the rows err, y², err²·1{s < 0} and
-    err²·1{s > 0} of a block's transmit set, with err = x_hat - x, into one
-    array, less a shift: the means of err, y² and err² over the first
-    transmitting block.  It keeps running totals of the row sums and the row
-    sums of squares, and the counts of transmissions and of positive ones;
-    each metric of ``CONDITIONAL_ROWS`` adds the totals of its rows.  Shifted
-    sums keep the cancellation in M2 = Σd² - (Σd)²/n as small as the shift
-    is close to the mean (Chan, Golub & LeVeque 1979, §2), and each row's
-    sum of squares overflows only where its M2 does.
+    The visitor adds each block's stage costs into the episode totals and,
+    with ``conditional``, writes the rows err = ``err_on``, y², err²·1{s < 0}
+    and err²·1{s > 0} of the block's transmit set into one array, less a
+    shift: the means of err, y² and err² over the first transmitting block.
+    It keeps running totals of the row sums and the row sums of squares, and
+    the counts of transmissions and of positive ones; each metric of
+    ``CONDITIONAL_ROWS`` adds the totals of its rows.  Shifted sums keep the
+    cancellation in M2 = Σd² - (Σd)²/n as small as the shift is close to the
+    mean (Chan, Golub & LeVeque 1979, §2), and each row's sum of squares
+    overflows only where its M2 does.
     """
     totals = np.zeros(n_episodes)
     n_tx = n_pos = 0  # transmissions, positive ones
     sums = np.zeros((2, 4))  # the shifted rows' sums and sums of squares
     shift = None
 
-    def reduce(b: _Block):
+    def visit(b: _Block) -> None:
         nonlocal n_tx, n_pos, shift
-        cost = _stage_cost(p, b).sum(axis=1)  # frees the block's stage costs first
+        totals[b.r0:b.r1] += b.cost.sum(axis=1)
         if conditional and b.on.size:
             d = np.empty((4, b.on.size))
-            np.subtract(b.xhat_on, b.x_on, out=d[0])
+            d[0] = b.err_on
             np.square(b.y_on, out=d[1])
-            np.square(d[0], out=d[2])
+            np.square(b.err_on, out=d[2])
             if shift is None:
                 shift = np.add.reduce(d[:3], axis=1, keepdims=True) / b.on.size
             d[:3] -= shift
@@ -244,10 +237,8 @@ def _fold(p: SystemParams, strat: ThresholdAffineStrategy, horizon: int, n_episo
             sums[1] += np.add.reduce(np.square(d, out=d), axis=1)
             n_tx += b.on.size
             n_pos += int(np.count_nonzero(pos))
-        return b.r0, b.r1, cost
 
-    for r0, r1, part in _simulate(p, strat, horizon, n_episodes, rng, reduce):
-        totals[r0:r1] += part
+    _simulate(p, strat, horizon, n_episodes, rng, visit)
     if not conditional:
         return totals, None, None
     # tx_frequency from the exact count k: mean k/n, M2 = k(n - k)/n

@@ -21,10 +21,9 @@ def stage_costs(p, strat, horizon, n_episodes, rng) -> np.ndarray:
     costs = np.empty((n_episodes, horizon))
 
     def keep(b):
-        costs[b.r0:b.r1, b.c0:b.c1] = simulator._stage_cost(p, b)
+        costs[b.r0:b.r1, b.c0:b.c1] = b.cost
 
-    for _ in simulator._simulate(p, strat, horizon, n_episodes, rng, keep):
-        pass
+    simulator._simulate(p, strat, horizon, n_episodes, rng, keep)
     return costs
 
 

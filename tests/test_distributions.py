@@ -254,20 +254,21 @@ class TestCharFn:
 
 
 class TestMomentMatch:
-    # each variance in closed form: 2·b², 1/rate² and k·theta²
+    # each mean and variance in closed form: 0 and 2·b², 1/rate and
+    # 1/rate², k·theta and k·theta²
     @pytest.mark.parametrize(
-        "dist,sampler,variance",
+        "dist,sampler,mean,variance",
         [
-            (LaplaceDist(1.0), sample_laplace, 2.0),
-            (ExponentialDist(1.0), sample_exponential, 1.0),
-            (GammaDist(2.0, 1.0), sample_gamma, 2.0),
+            (LaplaceDist(1.0), sample_laplace, 0.0, 2.0),
+            (ExponentialDist(1.0), sample_exponential, 1.0, 1.0),
+            (GammaDist(2.0, 1.0), sample_gamma, 2.0, 2.0),
         ],
         ids=["laplace", "exponential", "gamma"],
     )
-    def test_mean_and_variance_within_4se(self, dist, sampler, variance):
+    def test_mean_and_variance_within_4se(self, dist, sampler, mean, variance):
         x = sampler(dist, RngHandle(555, 0), size=N)
         se_mean = x.std(ddof=1) / np.sqrt(N)
-        assert abs(x.mean() - dist.mean) < 4.0 * se_mean
+        assert abs(x.mean() - mean) < 4.0 * se_mean
         centered_sq = (x - x.mean()) ** 2
         se_var = centered_sq.std(ddof=1) / np.sqrt(N)
         assert abs(x.var(ddof=1) - variance) < 4.0 * se_var

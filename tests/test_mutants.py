@@ -107,6 +107,16 @@ MUTANTS = {
         "simulator.py", "x = sample_laplace(",
         "sample_gamma(noise, sub, size=1); x = sample_laplace(",
         ["tests/test_simulator.py::TestRunEpisode::test_block_i_draws_from_substream_i"]),
+    # a transmitting stage's cost without the communication cost c
+    "stage-cost-without-c": (
+        "simulator.py", "np.put(cost, on, np.square(err_on) + p.c)",
+        "np.put(cost, on, np.square(err_on))",
+        ["tests/test_simulator.py::TestTransmitSetKernel::test_estimate_cost[optimal-100]"]),
+    # the transmit set's error as x - x_hat, which flips the bias row
+    "err-sign-flipped": (
+        "simulator.py", "err_on = strat.decode(t_on, y_on + v_on, s_on) - x_on",
+        "err_on = x_on - strat.decode(t_on, y_on + v_on, s_on)",
+        ["tests/test_simulator.py::TestConditionalFold::test_matches_fsum_moments[optimal]"]),
     "modulus-floor-1e-2": (
         "matching.py", "EMPIRICAL_MODULUS_FLOOR = 1e-3", "EMPIRICAL_MODULUS_FLOOR = 1e-2",
         ["tests/test_matching.py::TestEmpiricalModulusFloor::"

@@ -71,7 +71,17 @@ class TestMonteCarloEstimate:
 
 def _kernel_blocks(p, strat, horizon, n_episodes, rng):
     """The kernel's own blocks, in block order."""
-    return list(simulator._simulate(p, strat, horizon, n_episodes, rng, lambda b: b))
+    blocks = []
+    simulator._simulate(p, strat, horizon, n_episodes, rng, blocks.append)
+    return blocks
+
+
+def _draws(p, rng, i, size):
+    """The source and then the noise of every stage, as block i of the
+    kernel draws them from ``rng.substream(i)``."""
+    sub = rng.substream(i)
+    return (sample_laplace(LaplaceDist(1.0 / p.lam), sub, size=size),
+            sample_gamma(GammaDist(p.k, p.theta), sub, size=size))
 
 
 class TestRunEpisode:
@@ -90,9 +100,10 @@ class TestRunEpisode:
                 return super().encode(t, x)
 
         [block] = _kernel_blocks(REF, Recording(REF, BETA_STAR), 2_000, 1, RngHandle(2))
+        x, _ = _draws(REF, RngHandle(2), 0, 2_000)
         assert len(seen) == 1
-        assert np.array_equal(seen[0], block.x_on)
-        assert seen[0].size == np.count_nonzero(np.abs(block.x) > BETA_STAR)
+        assert np.array_equal(seen[0], x[block.on])
+        assert seen[0].size == np.count_nonzero(np.abs(x) > BETA_STAR)
         assert (np.abs(seen[0]) > BETA_STAR).all()
 
     def test_cost_decomposition(self):
@@ -105,37 +116,51 @@ class TestRunEpisode:
     def test_never_transmit_episode(self):
         costs = run_episode(REF, NEVER, 5, RngHandle(4))
         [block] = _kernel_blocks(REF, NEVER, 5, 1, RngHandle(4))
+        x, _ = _draws(REF, RngHandle(4), 0, 5)
         assert block.on.size == 0
-        assert np.array_equal(costs, np.square(block.x[0]))
+        assert np.array_equal(costs, np.square(x))
 
     def test_always_transmit_fraction_is_one(self):
         blocks = _kernel_blocks(REF, ThresholdAffineStrategy(REF, 0.0), 1_000, 1, RngHandle(5))
         assert sum(b.on.size for b in blocks) == 1_000
 
     def test_common_random_numbers_across_policies(self):
-        # the noise is drawn on every stage, so the stages both policies
+        # the noise is drawn on every stage, so each policy's error is its
+        # own coder's on the one shared path, and the stages both policies
         # transmit see the same noise
-        [a] = _kernel_blocks(REF, OPTIMAL, 1_000, 1, RngHandle(6, 3))
-        [b] = _kernel_blocks(REF, ThresholdAffineStrategy(REF, 2.0), 1_000, 1, RngHandle(6, 3))
-        assert np.array_equal(a.x, b.x)
-        both, in_a, in_b = np.intersect1d(a.on, b.on, return_indices=True)
-        assert both.size > 0
-        assert np.array_equal(a.v_on[in_a], b.v_on[in_b])
+        x, v = _draws(REF, RngHandle(6, 3), 0, 1_000)
+        t = np.arange(1, 1_001)
+        policies = (OPTIMAL, ThresholdAffineStrategy(REF, 2.0))
+        blocks = [_kernel_blocks(REF, strat, 1_000, 1, RngHandle(6, 3))[0] for strat in policies]
+        for strat, block in zip(policies, blocks):
+            on = block.on
+            assert np.array_equal(on, np.flatnonzero(strat.transmit(t, x)))
+            y = strat.encode(t[on], x[on])
+            err = strat.decode(t[on], y + v[on], payload_sign(x[on])) - x[on]
+            assert np.array_equal(block.err_on, err)
+        assert np.intersect1d(blocks[0].on, blocks[1].on).size > 0
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             run_episode(REF, OPTIMAL, 0, RngHandle(0))
 
     def test_block_i_draws_from_substream_i(self):
-        # the source first, then the noise of every stage
+        # the source first, then the noise of every stage: the block's
+        # transmit set, error and stage costs, recomputed plainly
         rng = RngHandle(8, 2)
         blocks = _kernel_blocks(REF, OPTIMAL, CHUNK_STAGES + 5, 1, rng)
-        source, noise = LaplaceDist(1.0 / REF.lam), GammaDist(REF.k, REF.theta)
         assert len(blocks) == 2
         for i, (block, size) in enumerate(zip(blocks, (CHUNK_STAGES, 5))):
-            sub = rng.substream(i)
-            assert np.array_equal(block.x[0], sample_laplace(source, sub, size=size))
-            assert np.array_equal(block.v_on, sample_gamma(noise, sub, size=size)[block.on])
+            x, v = _draws(REF, rng, i, size)
+            t = np.arange(block.c0 + 1, block.c1 + 1)
+            on = np.flatnonzero(np.abs(x) > BETA_STAR)
+            y = OPTIMAL.encode(t[on], x[on])
+            err = OPTIMAL.decode(t[on], y + v[on], payload_sign(x[on])) - x[on]
+            cost = np.square(x)
+            cost[on] = np.square(err) + REF.c
+            assert np.array_equal(block.on, on)
+            assert np.array_equal(block.err_on, err)
+            assert np.array_equal(block.cost[0], cost)
 
 
 class TestEstimateCost:
@@ -577,9 +602,10 @@ class TestConditionalFold:
     def test_sign_branch_with_fewer_than_two_transmissions(self, negatives):
         # above the threshold on the positive side, plus the first stages
         # below -beta as many as ``negatives``; the draws do not depend on
-        # the policy, so a silent run shows where those stages are
+        # the policy, so the blocks' source draws show where those stages are
         rng = RngHandle(44)
-        x = np.concatenate([b.x[0] for b in _kernel_blocks(REF, NEVER, 5_000, 1, rng)])
+        x = np.concatenate([_draws(REF, rng, i, size)[0]
+                            for i, size in enumerate((CHUNK_STAGES, 5_000 - CHUNK_STAGES))])
         stages = 1 + np.flatnonzero(x < -BETA_STAR)[:negatives]
         strat = _transmitting(lambda t, x: (x > BETA_STAR) | np.isin(t, stages))
         rows, problem = estimate_conditional_stats(REF, strat, 5_000, rng)
